@@ -15,8 +15,6 @@ caller filters ties (the paper assumes tie-broken timestamps).
 """
 from __future__ import annotations
 
-import numpy as np
-
 
 def classify_times(t11: int, t12: int, t21: int, t22: int) -> int:
     """Type of the butterfly with edge times tXY = t(uX, vY).
@@ -45,34 +43,6 @@ def classify_times(t11: int, t12: int, t21: int, t22: int) -> int:
         return 1 if sl < op else 2
     # e2 is the opposite edge
     return 4 if sl < su else 5
-
-
-def classify_times_np(
-    t11: np.ndarray, t12: np.ndarray, t21: np.ndarray, t22: np.ndarray
-) -> np.ndarray:
-    """Vectorized ``classify_times`` over aligned int arrays."""
-    stacked = np.stack([t11, t12, t21, t22])
-    anchor = stacked.min(axis=0)
-    su = np.select(
-        [anchor == t11, anchor == t12, anchor == t21], [t12, t11, t22], default=t21
-    )
-    sl = np.select(
-        [anchor == t11, anchor == t12, anchor == t21], [t21, t22, t11], default=t12
-    )
-    op = np.select(
-        [anchor == t11, anchor == t12, anchor == t21], [t22, t21, t12], default=t11
-    )
-    return np.select(
-        [
-            (sl < su) & (sl < op) & (su < op),
-            (sl < su) & (sl < op),
-            (su < sl) & (su < op) & (sl < op),
-            (su < sl) & (su < op),
-            sl < su,
-        ],
-        [0, 3, 1, 2, 4],
-        default=5,
-    ).astype(np.int64)
 
 
 def classify_sql(t11: str, t12: str, t21: str, t22: str) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.optimized import grouped_wedges
+from repro.core.optimized import grouped_wedges, wedge_tuples
 from repro.core.schema import INSTANCE_SCHEMA
 from repro.core.wedge_set import enumerate_group
 
@@ -21,15 +21,7 @@ def tbe_plus(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
 
     def run_group(key, pdf):
         s, e = int(key[0]), int(key[1])
-        ws = list(
-            zip(
-                pdf["m"].to_numpy(),
-                pdf["lo"].to_numpy(),
-                pdf["hi"].to_numpy(),
-                pdf["fwd"].to_numpy(),
-            )
-        )
-        rows = enumerate_group(ws, delta, s % 2, s, e)
+        rows = enumerate_group(wedge_tuples(pdf), delta, s % 2, s, e)
         return pd.DataFrame(rows, columns=_COLS, dtype="int64")
 
     return (

@@ -40,20 +40,16 @@ def grouped_wedges(edges: DataFrame, delta: int) -> DataFrame:
     return w.join(viable, ["s", "e"])
 
 
+def wedge_tuples(pdf: pd.DataFrame) -> list[tuple]:
+    """One group's wedges as the kernels' ``(m, lo, hi, fwd)`` tuples."""
+    return list(zip(*(pdf[c].tolist() for c in ("m", "lo", "hi", "fwd"))))
+
+
 def _counts_dataflow(
     spark: SparkSession, edges: DataFrame, delta: int, kernel: Callable
 ) -> DataFrame:
-    def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
-        layer = int(pdf["layer"].iloc[0])
-        ws = list(
-            zip(
-                pdf["m"].to_numpy(),
-                pdf["lo"].to_numpy(),
-                pdf["hi"].to_numpy(),
-                pdf["fwd"].to_numpy(),
-            )
-        )
-        counts = kernel(ws, delta, layer)
+    def run_group(key, pdf):
+        counts = kernel(wedge_tuples(pdf), delta, int(key[0]) % 2)
         return pd.DataFrame([counts], columns=_COUNT_COLS)
 
     per_group = (
@@ -82,9 +78,10 @@ def tbc_pp(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
 def count_local(edges_pdf: pd.DataFrame, delta: int) -> np.ndarray:
     """Single-process TBC⁺⁺ over a pandas edge frame (no Spark).
 
-    The streaming driver uses this for from-scratch window recounts; it
-    mirrors the Spark dataflow: priority-filtered pruned wedges, grouped
-    by (s, e), combined with the tree kernel.
+    It mirrors the Spark dataflow: priority-filtered pruned wedges,
+    grouped by (s, e), combined with the tree kernel. The approximate
+    counters run it on their samples, and the benchmarks and tests use it
+    as the in-process reference.
     """
     from collections import defaultdict
 

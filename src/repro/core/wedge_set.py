@@ -5,16 +5,20 @@ Each kernel consumes the wedges of one (start-vertex, end-vertex) group
 (Lemma-1-pruned, forward-normalized) — and produces the six per-type
 butterfly counts (or the instances) contributed by that group.
 
-* ``count_group_quadratic`` — reference: all cross-middle wedge pairs
-  through ``wedge_pair_type``. Used by tests only.
-* ``count_group_plus``      — TBC⁺: recursive set merging (Alg. 3) with
-  the HP hashmap of ascending ``t_a`` arrays and binary search (Alg. 4).
-* ``count_group_pp``        — TBC⁺⁺: same skeleton, HP replaced by the
-  twin order-statistics trees TA/TS (Alg. 6); we realize the red-black
-  trees as Fenwick trees over coordinate-compressed timestamps, which
-  support the same O(log n) insert / delete / count / max-key API.
-* ``enumerate_group``       — TBE⁺: the Alg. 5 range-traversal variant,
-  emitting canonical instance rows.
+The optimized kernels share one recursive set merge and one SetCross
+sweep (Alg. 3). The sweep visits each wedge against the
+already-processed wedges of the other side, held in one of two stores:
+
+* ``HP``    — Alg. 4's hashmap ``t_s → wedges in ascending t_a``. A
+  binary search splits each bucket into coverage classes;
+  ``count_group_plus`` (TBC⁺) counts those ranges and
+  ``enumerate_group`` (TBE⁺, Alg. 5's range traversal) emits them.
+* ``Trees`` — Alg. 6's twin order-statistics trees TA (keyed by t_a)
+  and TS (keyed by t_s) as two ``SortedList``s; ``count_group_pp``
+  (TBC⁺⁺) reads each class off three O(log n) rank queries.
+
+``count_group_quadratic`` is the reference: all cross-middle wedge
+pairs through ``wedge_pair_type``. Used by tests only.
 
 Wedge priority (Definition 6): ``P_W(∠i) < P_W(∠j)`` iff
 ``∠i.t_s > ∠j.t_s``, ties broken by smaller ``t_a``; kernels process
@@ -25,11 +29,14 @@ wedges, whose ``t_s`` is strictly larger.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from operator import itemgetter
 from typing import Callable, Iterable
 
 import numpy as np
+from sortedcontainers import SortedList
 
 from repro.core.classify import classify_times, wedge_pair_type
 from repro.core.schema import N_TYPES
@@ -39,6 +46,11 @@ M, LO, HI, FWD = range(4)
 
 #: sort key realizing priority-increasing processing order
 _PRIO_ORDER = lambda w: (-w[LO], w[HI])
+_HI = itemgetter(HI)
+
+#: SetCross lists (A_i, D_i, A_j, D_j) → their (same-direction,
+#: different-direction) partner lists on the other side
+_PARTNER = ((2, 3), (3, 2), (0, 1), (1, 0))
 
 
 def build_sets(wedges: Iterable[tuple]) -> list[tuple[list, list]]:
@@ -85,270 +97,158 @@ def count_group_quadratic(wedges: list[tuple], delta: int, layer: int) -> np.nda
 
 
 # --------------------------------------------------------------------------
-# shared recursive-merge skeleton (Algorithm 3)
+# the two stores
+# --------------------------------------------------------------------------
+#
+# A query comes from a wedge ``w`` of the batch-minimum ``t_s``; every
+# stored wedge has a strictly larger ``t_s``, so the coverage class of a
+# stored wedge against ``w.hi`` is
+#
+#     t_s > w.hi         -> 0 non-overlap
+#     t_s < w.hi < t_a   -> 1 intersect
+#     t_a < w.hi         -> 2 cover
+#
+# Equal timestamps never form a butterfly and fall in no class.
+
+
+class HP(dict):
+    """Alg. 4's hashmap: ``t_s`` → the wedges with that ``t_s``, in
+    ascending ``t_a``."""
+
+    def insert(self, w: tuple) -> None:
+        # a t_s arrives in one batch, already in ascending t_a
+        self.setdefault(w[LO], []).append(w)
+
+    def delete_gt(self, bound: int) -> None:
+        """Drop every wedge with t_a > bound; buckets pop from the back."""
+        for ts, ws in list(self.items()):
+            while ws and ws[-1][HI] > bound:
+                ws.pop()
+            if not ws:
+                del self[ts]
+
+    def ranges(self, hi: int):
+        """``(bucket, start, stop)`` per class: ``bucket[start:stop]`` is
+        in a coverage class against a wedge whose ``t_a`` is ``hi``."""
+        for ts, ws in self.items():
+            if ts > hi:
+                yield ws, 0, len(ws)
+            elif ts < hi:
+                yield ws, bisect_right(ws, hi, key=_HI), len(ws)
+                yield ws, 0, bisect_left(ws, hi, key=_HI)
+
+    def sizes(self, hi: int) -> tuple[int, int, int]:
+        """The lengths of ``ranges(hi)``, summed per class (Alg. 4 Query).
+
+        Summed inline, not over ``ranges``: a generator step per bucket
+        made TBC⁺ ~25 % slower on the Figure-8 extreme group."""
+        non = inter = cover = 0
+        for ts, ws in self.items():
+            if ts > hi:
+                non += len(ws)
+            elif ts < hi:
+                inter += len(ws) - bisect_right(ws, hi, key=_HI)
+                cover += bisect_left(ws, hi, key=_HI)
+        return non, inter, cover
+
+
+class Trees:
+    """Alg. 6's twin trees: TA holds ``(t_a, t_s)``, TS holds ``t_s``."""
+
+    __slots__ = ("ta", "ts")
+
+    def __init__(self):
+        self.ta = SortedList()
+        self.ts = SortedList()
+
+    def insert(self, w: tuple) -> None:
+        self.ta.add((w[HI], w[LO]))
+        self.ts.add(w[LO])
+
+    def delete_gt(self, bound: int) -> None:
+        """Erase every wedge with t_a > bound from both trees."""
+        while self.ta and self.ta[-1][0] > bound:
+            self.ts.remove(self.ta.pop()[1])
+
+    def sizes(self, hi: int) -> tuple[int, int, int]:
+        """Alg. 6 Query(): the three class sizes against ``hi``."""
+        n = len(self.ts)
+        ts_gt = n - self.ts.bisect_right(hi)
+        ts_ge = n - self.ts.bisect_left(hi)
+        ta_gt = n - self.ta.bisect_right((hi, math.inf))
+        # t_a > hi, less those with t_s >= hi (whose t_a > hi as well)
+        return ts_gt, ta_gt - ts_ge, self.ta.bisect_left((hi,))
+
+
+# --------------------------------------------------------------------------
+# recursive merge + SetCross sweep (Algorithm 3)
 # --------------------------------------------------------------------------
 
 
-def _recur(sets: list, p: int, q: int, setcross: Callable):
-    """Bottom-up merge: every cross-set wedge pair meets in exactly one
-    SetCross call (Mergesort-style, Algorithm 3)."""
-    if p + 1 >= q:
-        return sets[p]
-    mid = (p + q) // 2
-    left = _recur(sets, p, mid, setcross)
-    right = _recur(sets, mid, q, setcross)
-    return setcross(left, right)
-
-
-def _merge_sorted(x: list, y: list) -> list:
-    return list(heapq.merge(x, y, key=_PRIO_ORDER))
-
-
-# --------------------------------------------------------------------------
-# TBC+ : HP hashmap of ascending t_a arrays (Algorithm 4)
-# --------------------------------------------------------------------------
-
-
-def _hp_delete(bound: int, hp: dict[int, list[int]]) -> None:
-    """Pop every t_a > bound; ascending arrays pop from the back."""
-    dead = []
-    for ts, arr in hp.items():
-        while arr and arr[-1] > bound:
-            arr.pop()
-        if not arr:
-            dead.append(ts)
-    for ts in dead:
-        del hp[ts]
-
-
-def _hp_query(
-    w: tuple, hp_same: dict, hp_diff: dict, layer: int, counts: np.ndarray
-) -> None:
-    """Count the butterflies pairing ``w`` with already-processed wedges.
-
-    ``w`` holds the batch-minimum ``t_s``; every wedge in the HPs has a
-    strictly larger ``t_s``, so the coverage pattern reads off the HP key
-    ``t`` (their t_s) and a binary search on their ascending ``t_a``:
-
-        t  > w.hi            -> non-overlap  (c11)
-        t  < w.hi, t_a > w.hi -> intersect   (c13)
-        t  < w.hi, t_a < w.hi -> cover       (c15)
-
-    Equal timestamps never form a butterfly and fall through every
-    strict comparison.
-    """
-    hi = w[HI]
-    for ts, arr in hp_same.items():
-        if ts > hi:
-            counts[0 ^ layer] += len(arr)
-        elif ts < hi:
-            counts[1 ^ layer] += len(arr) - bisect_right(arr, hi)
-            counts[2 ^ layer] += bisect_left(arr, hi)
-    for ts, arr in hp_diff.items():
-        if ts > hi:
-            counts[3 ^ layer] += len(arr)
-        elif ts < hi:
-            counts[4 ^ layer] += len(arr) - bisect_right(arr, hi)
-            counts[5 ^ layer] += bisect_left(arr, hi)
-
-
-def _setcross_plus(left, right, delta: int, layer: int, counts: np.ndarray):
-    """SetCross (Algorithm 3 lines 8–29) with HP hashmaps."""
-    lists = [left[0], left[1], right[0], right[1]]  # A_i, D_i, A_j, D_j
-    # the opposite-side (same-direction, different-direction) HP per list
-    partner = [(2, 3), (3, 2), (0, 1), (1, 0)]
-    hps: list[dict[int, list[int]]] = [defaultdict(list) for _ in lists]
+def _setcross(left, right, delta: int, store: Callable, visit: Callable) -> None:
+    """SetCross (Alg. 3 lines 8–29): sweep both sides' A/D lists by
+    ``t_s`` descending; each wedge of the current ``t_s`` batch visits its
+    partner stores, then the batch enters its own store."""
+    lists = (left[0], left[1], right[0], right[1])
+    stores = [store() for _ in lists]
     ptr = [0, 0, 0, 0]
-    while any(ptr[b] < len(lists[b]) for b in range(4)):
-        maxn = max(
-            lists[b][ptr[b]][LO] for b in range(4) if ptr[b] < len(lists[b])
-        )
-        for hp in hps:
-            _hp_delete(maxn + delta, hp)
-        pre = list(ptr)
-        for b in range(4):
-            lst = lists[b]
+    while True:
+        heads = [lst[p][LO] for lst, p in zip(lists, ptr) if p < len(lst)]
+        if not heads:
+            return
+        maxn = max(heads)
+        for st in stores:
+            st.delete_gt(maxn + delta)
+        batch = []
+        for b, lst in enumerate(lists):
+            same, diff = _PARTNER[b]
             while ptr[b] < len(lst) and lst[ptr[b]][LO] == maxn:
-                same, diff = partner[b]
-                _hp_query(lst[ptr[b]], hps[same], hps[diff], layer, counts)
+                w = lst[ptr[b]]
+                visit(w, stores[same], stores[diff])
+                batch.append((b, w))
                 ptr[b] += 1
-        for b in range(4):
-            for k in range(pre[b], ptr[b]):
-                w = lists[b][k]
-                hps[b][w[LO]].append(w[HI])
-    return (
-        _merge_sorted(left[0], right[0]),
-        _merge_sorted(left[1], right[1]),
-    )
+        for b, w in batch:
+            stores[b].insert(w)
+
+
+def _combine(wedges: list[tuple], delta: int, store: Callable, visit: Callable) -> None:
+    """Bottom-up merge of the group's wedge sets: every cross-set wedge
+    pair meets in exactly one SetCross call (Mergesort-style, Alg. 3)."""
+
+    def merge(sets: list) -> tuple[list, list]:
+        if len(sets) == 1:
+            return sets[0]
+        left, right = merge(sets[: len(sets) // 2]), merge(sets[len(sets) // 2:])
+        _setcross(left, right, delta, store, visit)
+        return tuple(
+            list(heapq.merge(x, y, key=_PRIO_ORDER)) for x, y in zip(left, right)
+        )
+
+    sets = build_sets(wedges)
+    if len(sets) > 1:
+        merge(sets)
+
+
+def _count(wedges, delta: int, layer: int, store: Callable) -> np.ndarray:
+    """Per-type counts from the class sizes of ``store``."""
+    c = [0] * N_TYPES  # by (direction, coverage) class, before the layer xor
+
+    def visit(w, same, diff):
+        for k, n in enumerate(same.sizes(w[HI]) + diff.sizes(w[HI])):
+            c[k] += n
+
+    _combine(wedges, delta, store, visit)
+    return np.array([c[i ^ layer] for i in range(N_TYPES)], dtype=np.int64)
 
 
 def count_group_plus(wedges: list[tuple], delta: int, layer: int) -> np.ndarray:
-    counts = np.zeros(N_TYPES, dtype=np.int64)
-    sets = build_sets(wedges)
-    if len(sets) > 1:
-        _recur(
-            sets, 0, len(sets),
-            lambda l, r: _setcross_plus(l, r, delta, layer, counts),
-        )
-    return counts
-
-
-# --------------------------------------------------------------------------
-# TBC++ : twin order-statistics trees TA / TS (Algorithm 6)
-# --------------------------------------------------------------------------
-
-
-class Fenwick:
-    """Binary indexed tree over [0, n): multiset counts with order
-    statistics and max-key — the operations Table 2 requires of the
-    red-black trees, each O(log n)."""
-
-    __slots__ = ("n", "tree", "total")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-        self.total = 0
-
-    def add(self, i: int, d: int) -> None:
-        self.total += d
-        i += 1
-        while i <= self.n:
-            self.tree[i] += d
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        """Count of elements with coordinate <= i."""
-        s = 0
-        i += 1
-        while i > 0:
-            s += self.tree[i]
-            i -= i & (-i)
-        return s
-
-    def count_lt(self, i: int) -> int:
-        return self.prefix(i - 1) if i > 0 else 0
-
-    def count_gt(self, i: int) -> int:
-        return self.total - self.prefix(i)
-
-    def count_ge(self, i: int) -> int:
-        return self.total - self.count_lt(i)
-
-    def max_key(self) -> int:
-        """Largest coordinate with nonzero count; -1 if empty."""
-        if self.total == 0:
-            return -1
-        pos, remaining = 0, self.total
-        log = 1
-        while (log << 1) <= self.n:
-            log <<= 1
-        s = 0
-        while log > 0:
-            nxt = pos + log
-            if nxt <= self.n and s + self.tree[nxt] < remaining:
-                pos = nxt
-                s += self.tree[nxt]
-            log >>= 1
-        return pos  # 0-based coordinate of the max element
-
-
-class TreePair:
-    """The paper's synchronized trees: TA keyed by t_a, TS keyed by t_s.
-
-    ``coord`` is the sorted list of every timestamp appearing in the
-    group, shared by all pairs, so strict (<, >, >=) counts against any
-    group timestamp are exact.
-    """
-
-    __slots__ = ("coord", "ta", "ts", "by_ta")
-
-    def __init__(self, coord: list[int]):
-        self.coord = coord
-        self.ta = Fenwick(len(coord))
-        self.ts = Fenwick(len(coord))
-        self.by_ta: dict[int, list[int]] = defaultdict(list)
-
-    def _i(self, x: int) -> int:
-        return bisect_left(self.coord, x)
-
-    def insert(self, lo: int, hi: int) -> None:
-        self.ta.add(self._i(hi), 1)
-        self.ts.add(self._i(lo), 1)
-        self.by_ta[hi].append(lo)
-
-    def delete_gt(self, bound: int) -> None:
-        """Erase every wedge with t_a > bound from both trees (Alg. 6)."""
-        while self.ta.total:
-            mi = self.ta.max_key()
-            hi = self.coord[mi]
-            if hi <= bound:
-                return
-            lo = self.by_ta[hi].pop()
-            if not self.by_ta[hi]:
-                del self.by_ta[hi]
-            self.ta.add(mi, -1)
-            self.ts.add(self._i(lo), -1)
-
-
-def _tree_query(
-    w: tuple, same: TreePair, diff: TreePair, layer: int, counts: np.ndarray
-) -> None:
-    """Algorithm 6 Query(): three O(log n) counts per direction class."""
-    for base, tp in ((0, same), (3, diff)):
-        if tp.ta.total == 0:
-            continue
-        hi_i = tp._i(w[HI])
-        c11 = tp.ts.count_gt(hi_i)
-        c13 = tp.ta.count_gt(hi_i) - tp.ts.count_ge(hi_i)
-        c15 = tp.ta.count_lt(hi_i)
-        counts[(base + 0) ^ layer] += c11
-        counts[(base + 1) ^ layer] += c13
-        counts[(base + 2) ^ layer] += c15
-
-
-def _setcross_pp(
-    left, right, delta: int, layer: int, counts: np.ndarray, coord: list[int]
-):
-    lists = [left[0], left[1], right[0], right[1]]
-    partner = [(2, 3), (3, 2), (0, 1), (1, 0)]
-    trees = [TreePair(coord) for _ in lists]
-    ptr = [0, 0, 0, 0]
-    while any(ptr[b] < len(lists[b]) for b in range(4)):
-        maxn = max(
-            lists[b][ptr[b]][LO] for b in range(4) if ptr[b] < len(lists[b])
-        )
-        for tp in trees:
-            tp.delete_gt(maxn + delta)
-        pre = list(ptr)
-        for b in range(4):
-            lst = lists[b]
-            while ptr[b] < len(lst) and lst[ptr[b]][LO] == maxn:
-                same, diff = partner[b]
-                _tree_query(lst[ptr[b]], trees[same], trees[diff], layer, counts)
-                ptr[b] += 1
-        for b in range(4):
-            for k in range(pre[b], ptr[b]):
-                w = lists[b][k]
-                trees[b].insert(w[LO], w[HI])
-    return (
-        _merge_sorted(left[0], right[0]),
-        _merge_sorted(left[1], right[1]),
-    )
+    """TBC⁺ (Alg. 4): class sizes from the HP bisect ranges."""
+    return _count(wedges, delta, layer, HP)
 
 
 def count_group_pp(wedges: list[tuple], delta: int, layer: int) -> np.ndarray:
-    counts = np.zeros(N_TYPES, dtype=np.int64)
-    sets = build_sets(wedges)
-    if len(sets) > 1:
-        coord: list[int] = sorted(
-            {w[LO] for w in wedges} | {w[HI] for w in wedges}
-        )
-        _recur(
-            sets, 0, len(sets),
-            lambda l, r: _setcross_pp(l, r, delta, layer, counts, coord),
-        )
-    return counts
+    """TBC⁺⁺ (Alg. 6): class sizes from the twin trees."""
+    return _count(wedges, delta, layer, Trees)
 
 
 # --------------------------------------------------------------------------
@@ -381,70 +281,16 @@ def instance_row(s: int, e: int, layer: int, wi: tuple, wj: tuple) -> tuple:
             classify_times(t11, t12, t21, t22))
 
 
-def _setcross_enum(
-    left, right, delta: int, layer: int, s: int, e: int, out: list
-):
-    """SetCross emitting instances: HP arrays hold (t_a, wedge) entries
-    ordered by t_a; type classes are contiguous ranges (Algorithm 5)."""
-    lists = [left[0], left[1], right[0], right[1]]
-    partner = [(2, 3), (3, 2), (0, 1), (1, 0)]
-    hps: list[dict[int, list[tuple]]] = [defaultdict(list) for _ in lists]
-    ptr = [0, 0, 0, 0]
-
-    def emit(w, hp):
-        hi = w[HI]
-        for ts, arr in hp.items():
-            if ts > hi:
-                for _, other in arr:
-                    out.append(instance_row(s, e, layer, w, other))
-            elif ts < hi:
-                keys = [a for a, _ in arr]
-                for k in range(bisect_right(keys, hi), len(arr)):
-                    out.append(instance_row(s, e, layer, w, arr[k][1]))
-                for k in range(bisect_left(keys, hi)):
-                    out.append(instance_row(s, e, layer, w, arr[k][1]))
-
-    while any(ptr[b] < len(lists[b]) for b in range(4)):
-        maxn = max(
-            lists[b][ptr[b]][LO] for b in range(4) if ptr[b] < len(lists[b])
-        )
-        for hp in hps:
-            dead = []
-            for ts, arr in hp.items():
-                while arr and arr[-1][0] > maxn + delta:
-                    arr.pop()
-                if not arr:
-                    dead.append(ts)
-            for ts in dead:
-                del hp[ts]
-        pre = list(ptr)
-        for b in range(4):
-            lst = lists[b]
-            while ptr[b] < len(lst) and lst[ptr[b]][LO] == maxn:
-                same, diff = partner[b]
-                w = lst[ptr[b]]
-                emit(w, hps[same])
-                emit(w, hps[diff])
-                ptr[b] += 1
-        for b in range(4):
-            for k in range(pre[b], ptr[b]):
-                w = lists[b][k]
-                hps[b][w[LO]].append((w[HI], w))
-    return (
-        _merge_sorted(left[0], right[0]),
-        _merge_sorted(left[1], right[1]),
-    )
-
-
 def enumerate_group(
     wedges: list[tuple], delta: int, layer: int, s: int, e: int
 ) -> list[tuple]:
     """All canonical instances of one (s, e) group (TBE⁺ kernel)."""
     out: list[tuple] = []
-    sets = build_sets(wedges)
-    if len(sets) > 1:
-        _recur(
-            sets, 0, len(sets),
-            lambda l, r: _setcross_enum(l, r, delta, layer, s, e, out),
-        )
+
+    def visit(w, same, diff):
+        for hp in (same, diff):
+            for ws, a, b in hp.ranges(w[HI]):
+                out.extend(instance_row(s, e, layer, w, o) for o in ws[a:b])
+
+    _combine(wedges, delta, HP, visit)
     return out

@@ -73,11 +73,16 @@ def stbc_plus_batch(
                 [_batch_delta_local(snap, rows, delta, mode)], columns=_COUNT_COLS
             )
 
-    batch_df = spark.createDataFrame(
-        pd.DataFrame(batch, columns=["u", "v", "t"]).astype("int64")
-    ).repartition(parallelism)
-    parts = batch_df.mapInPandas(run, schema=", ".join(f"{c} long" for c in _COUNT_COLS))
-    row = parts.groupBy().sum().collect()
+    try:
+        batch_df = spark.createDataFrame(
+            pd.DataFrame(batch, columns=["u", "v", "t"]).astype("int64")
+        ).repartition(parallelism)
+        parts = batch_df.mapInPandas(
+            run, schema=", ".join(f"{c} long" for c in _COUNT_COLS)
+        )
+        row = parts.groupBy().sum().collect()
+    finally:
+        bc.destroy()  # also unlinks the window's pickled copy in sc._temp_dir
     if not row:
         return np.zeros(N_TYPES, dtype=np.int64)
     return np.array([row[0][i] or 0 for i in range(N_TYPES)], dtype=np.int64)

@@ -4,7 +4,6 @@ from __future__ import annotations
 import itertools
 
 import duckdb
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from repro.core.classify import (
     classify_sql,
     classify_times,
-    classify_times_np,
     wedge_pair_type,
 )
 
@@ -60,23 +58,6 @@ def test_known_anchor_patterns(perm):
 def test_duplicate_timestamps_rejected():
     with pytest.raises(ValueError):
         classify_times(1, 1, 2, 3)
-
-
-@given(st.permutations([1, 5, 9, 13]))
-@settings(max_examples=50, deadline=None)
-def test_numpy_agrees_with_scalar(perm):
-    t11, t12, t21, t22 = perm
-    got = classify_times_np(
-        np.array([t11]), np.array([t12]), np.array([t21]), np.array([t22])
-    )
-    assert got[0] == classify_times(t11, t12, t21, t22)
-
-
-def test_numpy_vectorized_batch():
-    perms = np.array(ALL_PERMS, dtype=np.int64)
-    got = classify_times_np(perms[:, 0], perms[:, 1], perms[:, 2], perms[:, 3])
-    want = np.array([classify_times(*p) for p in ALL_PERMS])
-    assert (got == want).all()
 
 
 @pytest.mark.parametrize("perm", ALL_PERMS)

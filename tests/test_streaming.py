@@ -1,6 +1,8 @@
 """Streaming algorithms vs from-scratch recomputation on every window."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,16 @@ def test_sliding_window_spark_parallel_agrees(spark):
     )
     for x, y in zip(a, b):
         assert (x.counts == y.counts).all()
+
+
+def test_stbc_plus_spark_batches_release_broadcasts(spark):
+    """Each Spark batch destroys its graph broadcast, which also removes the
+    pickled copy of the window from the context's temp dir."""
+    pdf = _stream(120, seed=9)
+    rows = [tuple(map(int, r)) for r in pdf.itertuples(index=False)]
+    g = StreamGraph.from_pdf(pdf)
+    tmp = spark.sparkContext._temp_dir
+    before = set(os.listdir(tmp))
+    for cut in (20, 40, 60):
+        stbc_plus_batch(g, rows[:cut], DELTA, "delete", spark=spark, parallelism=2)
+    assert set(os.listdir(tmp)) <= before

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.classify import classify_times
 from repro.core.schema import N_TYPES
 from repro.core.wedge_set import (
-    Fenwick,
     build_sets,
     count_group_plus,
     count_group_pp,
@@ -36,6 +35,13 @@ def _groups(delta: int, max_size: int = 24):
     return st.lists(_wedge_strategy(delta), min_size=0, max_size=max_size)
 
 
+def _enum_hist(wedges, delta, layer):
+    """TBE⁺ as a counting kernel: per-type histogram of its instances."""
+    s, e = (100, 102) if layer == 0 else (101, 103)
+    rows = enumerate_group(wedges, delta, layer, s, e)
+    return np.bincount([r[8] for r in rows], minlength=N_TYPES)
+
+
 @given(_groups(delta=8), st.integers(0, 1))
 @settings(max_examples=300, deadline=None)
 def test_plus_matches_quadratic(wedges, layer):
@@ -58,11 +64,7 @@ def test_pp_matches_quadratic(wedges, layer):
 @settings(max_examples=200, deadline=None)
 def test_enumeration_counts_match_quadratic(wedges, layer):
     wedges = [(2 * m + 1 - layer, lo, hi, f) for m, lo, hi, f in wedges]
-    s, e = (100, 102) if layer == 0 else (101, 103)
-    rows = enumerate_group(wedges, 6, layer, s, e)
-    got = np.zeros(N_TYPES, dtype=np.int64)
-    for r in rows:
-        got[r[8]] += 1
+    got = _enum_hist(wedges, 6, layer)
     assert (got == count_group_quadratic(wedges, 6, layer)).all()
 
 
@@ -82,7 +84,7 @@ def test_enumerated_instances_are_valid(wedges, layer):
 
 
 def test_empty_and_single_set_groups():
-    for kernel in (count_group_plus, count_group_pp, count_group_quadratic):
+    for kernel in (count_group_plus, count_group_pp, _enum_hist, count_group_quadratic):
         assert (kernel([], 5, 0) == 0).all()
         # single middle vertex -> no butterflies
         ws = [(1, 0, 3, True), (1, 1, 4, False), (1, 2, 5, True)]
@@ -92,7 +94,7 @@ def test_empty_and_single_set_groups():
 def test_two_wedges_single_butterfly():
     # forward (0,1)-(2,3): non-overlap, same direction, U start -> T0
     ws = [(1, 0, 1, True), (3, 2, 3, True)]
-    for kernel in (count_group_plus, count_group_pp, count_group_quadratic):
+    for kernel in (count_group_plus, count_group_pp, _enum_hist, count_group_quadratic):
         got = kernel(ws, 5, 0)
         assert got[0] == 1 and got.sum() == 1
         got_l = kernel(ws, 5, 1)
@@ -101,26 +103,26 @@ def test_two_wedges_single_butterfly():
 
 def test_delta_excludes_far_pairs():
     ws = [(1, 0, 1, True), (3, 10, 11, True)]
-    for kernel in (count_group_plus, count_group_pp):
+    for kernel in (count_group_plus, count_group_pp, _enum_hist):
         assert kernel(ws, 5, 0).sum() == 0
         assert kernel(ws, 11, 0).sum() == 1
 
 
 def test_equal_lo_pairs_are_excluded():
     ws = [(1, 0, 2, True), (3, 0, 3, True)]
-    for kernel in (count_group_plus, count_group_pp, count_group_quadratic):
+    for kernel in (count_group_plus, count_group_pp, _enum_hist, count_group_quadratic):
         assert kernel(ws, 9, 0).sum() == 0
 
 
 def test_equal_hi_pairs_are_excluded():
     ws = [(1, 0, 4, True), (3, 2, 4, True)]
-    for kernel in (count_group_plus, count_group_pp, count_group_quadratic):
+    for kernel in (count_group_plus, count_group_pp, _enum_hist, count_group_quadratic):
         assert kernel(ws, 9, 0).sum() == 0
 
 
 def test_boundary_hi_equals_other_lo_excluded():
     ws = [(1, 0, 2, True), (3, 2, 4, True)]
-    for kernel in (count_group_plus, count_group_pp, count_group_quadratic):
+    for kernel in (count_group_plus, count_group_pp, _enum_hist, count_group_quadratic):
         assert kernel(ws, 9, 0).sum() == 0
 
 
@@ -151,38 +153,3 @@ def test_instance_row_L_perspective():
     row = instance_row(1, 3, 1, wi, wj)
     assert row[:4] == (1, 3, 0, 1)
     assert row[4:8] == (10, 20, 12, 15)
-
-
-class TestFenwick:
-    def test_basic_counts(self):
-        f = Fenwick(10)
-        for i in [3, 3, 7, 9, 0]:
-            f.add(i, 1)
-        assert f.total == 5
-        assert f.prefix(3) == 3
-        assert f.count_lt(3) == 1
-        assert f.count_gt(3) == 2
-        assert f.count_ge(3) == 4
-        assert f.max_key() == 9
-
-    def test_delete_and_max(self):
-        f = Fenwick(5)
-        f.add(4, 1)
-        f.add(2, 1)
-        assert f.max_key() == 4
-        f.add(4, -1)
-        assert f.max_key() == 2
-        f.add(2, -1)
-        assert f.max_key() == -1
-
-    @given(st.lists(st.integers(0, 63), min_size=0, max_size=60))
-    @settings(max_examples=200, deadline=None)
-    def test_against_list(self, xs):
-        f = Fenwick(64)
-        for x in xs:
-            f.add(x, 1)
-        for probe in range(0, 64, 7):
-            assert f.count_lt(probe) == sum(1 for x in xs if x < probe)
-            assert f.count_gt(probe) == sum(1 for x in xs if x > probe)
-            assert f.count_ge(probe) == sum(1 for x in xs if x >= probe)
-        assert f.max_key() == (max(xs) if xs else -1)
