@@ -78,16 +78,17 @@ def tbe(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
     """
     pairs = _paired_wedges(edges, delta)
     is_u = F.col("layer") == 0
-    # layer-local ids of the U pair and the L pair, with their times
-    ua = F.when(is_u, F.col("s")).otherwise(F.col("m1")) / 2
-    ub = F.when(is_u, F.col("e")).otherwise(F.col("m2")) / 2
-    va = (F.when(is_u, F.col("m1")).otherwise(F.col("s")) - 1) / 2
-    vb = (F.when(is_u, F.col("m2")).otherwise(F.col("e")) - 1) / 2
+    # gids of the U pair and the L pair; gid >> 1 is the layer-local id,
+    # exact for every long (a double division rounds ids above 2**53)
+    ua = F.when(is_u, F.col("s")).otherwise(F.col("m1"))
+    ub = F.when(is_u, F.col("e")).otherwise(F.col("m2"))
+    va = F.when(is_u, F.col("m1")).otherwise(F.col("s"))
+    vb = F.when(is_u, F.col("m2")).otherwise(F.col("e"))
     inst = pairs.select(
-        F.floor(ua).cast("long").alias("ua"),
-        F.floor(ub).cast("long").alias("ub"),
-        F.floor(va).cast("long").alias("va"),
-        F.floor(vb).cast("long").alias("vb"),
+        F.shiftright(ua, 1).alias("ua"),
+        F.shiftright(ub, 1).alias("ub"),
+        F.shiftright(va, 1).alias("va"),
+        F.shiftright(vb, 1).alias("vb"),
         "t11", "t12", "t21", "t22",
         F.expr(classify_sql("t11", "t12", "t21", "t22")).cast("long").alias("btype"),
     )

@@ -9,7 +9,8 @@ per-start-vertex loop over the hashmap ``H[w]``: each group holds
 exactly the wedge sets one ``Combine()`` call consumes, so groups are
 independent and Spark parallelizes what the paper executes serially.
 Groups with fewer than two distinct middle vertices cannot form a
-butterfly and are dropped before the shuffle.
+butterfly; a window over the same (s, e) hash partitioning drops them,
+so one exchange serves both that filter and the kernel's grouping.
 """
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
-from repro.core.schema import N_TYPES, complete_counts
+from repro.core.schema import N_TYPES
 from repro.core.wedge_set import count_group_plus, count_group_pp
 from repro.core.wedges import wedges_pruned
 
@@ -30,14 +31,13 @@ _KERNEL_OUT_SCHEMA = ", ".join(f"{c} long" for c in _COUNT_COLS)
 
 def grouped_wedges(edges: DataFrame, delta: int) -> DataFrame:
     """Pruned wedges restricted to (s, e) groups that can host butterflies."""
-    w = wedges_pruned(edges, delta)
-    viable = (
-        w.groupBy("s", "e")
-        .agg(F.count_distinct("m").alias("nm"))
-        .where(F.col("nm") > 1)
-        .select("s", "e")
+    group = Window.partitionBy("s", "e")
+    return (
+        wedges_pruned(edges, delta)
+        .withColumn("viable", F.min("m").over(group) < F.max("m").over(group))
+        .where("viable")
+        .select("s", "e", "m", "layer", "lo", "hi", "fwd")
     )
-    return w.join(viable, ["s", "e"])
 
 
 def wedge_tuples(pdf: pd.DataFrame) -> list[tuple]:
@@ -45,9 +45,7 @@ def wedge_tuples(pdf: pd.DataFrame) -> list[tuple]:
     return list(zip(*(pdf[c].tolist() for c in ("m", "lo", "hi", "fwd"))))
 
 
-def _counts_dataflow(
-    spark: SparkSession, edges: DataFrame, delta: int, kernel: Callable
-) -> DataFrame:
+def _counts_dataflow(edges: DataFrame, delta: int, kernel: Callable) -> DataFrame:
     def run_group(key, pdf):
         counts = kernel(wedge_tuples(pdf), delta, int(key[0]) % 2)
         return pd.DataFrame([counts], columns=_COUNT_COLS)
@@ -61,18 +59,17 @@ def _counts_dataflow(
         *[F.coalesce(F.sum(c), F.lit(0)).alias(c) for c in _COUNT_COLS]
     )
     stack = ", ".join(f"{i}L, {c}" for i, c in enumerate(_COUNT_COLS))
-    counts = summed.selectExpr(f"stack({N_TYPES}, {stack}) as (btype, cnt)")
-    return complete_counts(spark, counts)
+    return summed.selectExpr(f"stack({N_TYPES}, {stack}) as (btype, cnt)")
 
 
 def tbc_plus(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
     """TBC⁺ (Algorithms 2–4): HP-hashmap combine kernel → (btype, cnt)."""
-    return _counts_dataflow(spark, edges, delta, count_group_plus)
+    return _counts_dataflow(edges, delta, count_group_plus)
 
 
 def tbc_pp(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
     """TBC⁺⁺ (§4.4): twin order-statistics-tree kernel → (btype, cnt)."""
-    return _counts_dataflow(spark, edges, delta, count_group_pp)
+    return _counts_dataflow(edges, delta, count_group_pp)
 
 
 def count_local(edges_pdf: pd.DataFrame, delta: int) -> np.ndarray:

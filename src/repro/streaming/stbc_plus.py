@@ -5,8 +5,8 @@ or ``[t-δ, t)`` (insertion) attributes every affected butterfly to its
 minimum- (resp. maximum-) timestamp edge, so batch members can be
 counted independently — no read-write conflicts, no double counting.
 The paper parallelizes with OpenMP threads; we parallelize with Spark
-tasks over the batch (``mapInPandas`` on a broadcast graph snapshot),
-which is the same work decomposition.
+tasks over the batch (one ``mapPartitions`` stage on a broadcast graph
+snapshot, summed on the driver), which is the same work decomposition.
 
 Prerequisites mirror the paper: for deletion the batch must be the
 window's chronological prefix (all edges still present while counting);
@@ -18,14 +18,11 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.schema import N_TYPES
 from repro.streaming.graph import StreamGraph
 from repro.streaming.stbc import edge_delta
-
-_COUNT_COLS = [f"c{i}" for i in range(N_TYPES)]
 
 
 def _batch_delta_local(
@@ -62,27 +59,16 @@ def stbc_plus_batch(
     if spark is None or parallelism <= 1:
         return _batch_delta_local(g, batch, delta, mode)
 
-    bc = spark.sparkContext.broadcast(dict(g.adj))
+    sc = spark.sparkContext
+    bc = sc.broadcast(dict(g.adj))
 
-    def run(batches: Iterable[pd.DataFrame]):
+    def run(rows: Iterable[tuple]):
         snap = StreamGraph()
         snap.adj.update(bc.value)
-        for pdf in batches:
-            rows = list(pdf[["u", "v", "t"]].itertuples(index=False))
-            yield pd.DataFrame(
-                [_batch_delta_local(snap, rows, delta, mode)], columns=_COUNT_COLS
-            )
+        yield _batch_delta_local(snap, rows, delta, mode)
 
     try:
-        batch_df = spark.createDataFrame(
-            pd.DataFrame(batch, columns=["u", "v", "t"]).astype("int64")
-        ).repartition(parallelism)
-        parts = batch_df.mapInPandas(
-            run, schema=", ".join(f"{c} long" for c in _COUNT_COLS)
-        )
-        row = parts.groupBy().sum().collect()
+        parts = sc.parallelize(batch, parallelism).mapPartitions(run).collect()
     finally:
         bc.destroy()  # also unlinks the window's pickled copy in sc._temp_dir
-    if not row:
-        return np.zeros(N_TYPES, dtype=np.int64)
-    return np.array([row[0][i] or 0 for i in range(N_TYPES)], dtype=np.int64)
+    return np.sum(parts, axis=0)

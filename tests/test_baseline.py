@@ -58,6 +58,17 @@ def test_tbe_matches_brute_instances(spark, seed):
     assert got == want
 
 
+def test_tbe_exact_for_ids_above_2_pow_53(spark):
+    """Layer-local ids come back exactly, not rounded through a double."""
+    pdf = random_bipartite_pdf(4, 4, 40, seed=204)
+    pdf["u"] = 2 * pdf["u"] + 2**53 + 1
+    pdf["v"] = 2 * pdf["v"] + 2**53 + 1
+    delta = int(pdf["t"].max())
+    got = canon_instances(tbe(spark, spark.createDataFrame(pdf), delta).toPandas())
+    want = canon_instances(brute_instances(pdf, delta))
+    assert want and got == want
+
+
 def test_tbe_sql_matches_brute_instances(spark):
     pdf = random_bipartite_pdf(5, 5, 45, seed=300)
     delta = max(1, int((pdf["t"].max() - pdf["t"].min()) // 2))

@@ -8,7 +8,8 @@ from repro.core.baseline import tbc
 from repro.core.brute import brute_counts, brute_instances, sql_counts
 from repro.core.enumerate_ import tbe_plus
 from repro.core.optimized import count_local, grouped_wedges, tbc_plus, tbc_pp
-from repro.core.schema import counts_to_dict
+from repro.core.schema import EDGE_SCHEMA, counts_to_dict
+from repro.core.wedges import wedges_pruned
 from repro.oracle import assert_equivalent
 from tests.util import canon_instances, edges_pdf, random_bipartite_pdf
 
@@ -45,9 +46,11 @@ def test_optimized_on_larger_random_graph(spark, algo):
 
 @pytest.mark.parametrize("algo", [tbc_plus, tbc_pp], ids=["plus", "pp"])
 def test_optimized_empty_result(spark, algo):
-    pdf = edges_pdf([(0, 0, 1), (1, 1, 5)])
-    got = algo(spark, spark.createDataFrame(pdf), delta=10)
-    assert counts_to_dict(got) == {i: 0 for i in range(6)}
+    for rows in ([(0, 0, 1), (1, 1, 5)], []):
+        sdf = spark.createDataFrame(edges_pdf(rows), EDGE_SCHEMA)
+        got = algo(spark, sdf, delta=10).collect()
+        assert sorted(map(tuple, got)) == [(i, 0) for i in range(6)], rows
+        assert tbe_plus(spark, sdf, delta=10).count() == 0, rows
 
 
 def test_optimized_single_butterfly_each_type(spark):
@@ -94,6 +97,18 @@ def test_grouped_wedges_only_viable_groups(spark):
     if len(gw):
         nm = gw.groupby(["s", "e"])["m"].nunique()
         assert (nm > 1).all()
+
+
+def test_grouped_wedges_adds_no_join(spark):
+    """The viability filter rides on the (s, e) partitioning rather than
+    joining a per-group aggregate back onto the wedges."""
+
+    def joins(df):
+        plan = df._jdf.queryExecution().optimizedPlan().toString()
+        return sum(line.lstrip(" :+-").startswith("Join ") for line in plan.splitlines())
+
+    sdf = spark.createDataFrame(random_bipartite_pdf(6, 6, 60, seed=66))
+    assert joins(grouped_wedges(sdf, 100)) <= joins(wedges_pruned(sdf, 100))
 
 
 @pytest.mark.parametrize("seed", range(3))

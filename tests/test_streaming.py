@@ -168,9 +168,10 @@ def test_stbc_plus_spark_parallel_agrees(spark):
     pdf = _stream(200, seed=7)
     rows = [tuple(map(int, r)) for r in pdf.itertuples(index=False)]
     g = StreamGraph.from_pdf(pdf)
-    local = stbc_plus_batch(g, rows[:60], DELTA, "delete")
-    dist = stbc_plus_batch(g, rows[:60], DELTA, "delete", spark=spark, parallelism=4)
-    assert (local == dist).all()
+    for cut in (60, 3):  # 3 edges leave some of the 4 tasks empty
+        local = stbc_plus_batch(g, rows[:cut], DELTA, "delete")
+        dist = stbc_plus_batch(g, rows[:cut], DELTA, "delete", spark=spark, parallelism=4)
+        assert (local == dist).all(), cut
 
 
 def test_sliding_window_spark_parallel_agrees(spark):
@@ -181,6 +182,20 @@ def test_sliding_window_spark_parallel_agrees(spark):
     )
     for x, y in zip(a, b):
         assert (x.counts == y.counts).all()
+
+
+def test_stbc_plus_spark_batch_is_one_job(spark):
+    pdf = _stream(120, seed=9)
+    rows = [tuple(map(int, r)) for r in pdf.itertuples(index=False)]
+    g = StreamGraph.from_pdf(pdf)
+    sc = spark.sparkContext
+    sc.setJobGroup("stbc-plus-one-batch", "one STBC+ batch")
+    try:
+        stbc_plus_batch(g, rows[:40], DELTA, "delete", spark=spark, parallelism=2)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert len(sc.statusTracker().getJobIdsForGroup("stbc-plus-one-batch")) == 1
 
 
 def test_stbc_plus_spark_batches_release_broadcasts(spark):

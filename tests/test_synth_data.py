@@ -1,10 +1,10 @@
-"""Temporal bipartite generator properties (plus provided TPC-H-lite smoke)."""
+"""Temporal bipartite generator properties."""
 from __future__ import annotations
 
 import pandas as pd
 import pytest
 
-from repro.synth_data import lineitem, temporal_bipartite, temporal_bipartite_pdf
+from repro.synth_data import temporal_bipartite, temporal_bipartite_pdf
 
 
 def _gen(**kw):
@@ -77,8 +77,3 @@ def test_spark_wrapper_roundtrip(spark):
     assert sdf.columns == ["u", "v", "t"]
     assert sdf.count() == 300
 
-
-def test_provided_tpch_lite_still_works(spark):
-    df = lineitem(spark, sf=0.001)
-    assert df.count() > 0
-    assert "l_orderkey" in df.columns
