@@ -19,6 +19,12 @@ from pyspark.sql import functions as F
 from repro.core.optimized import count_local, tbc_pp
 
 
+def _check_p(p: float) -> None:
+    """The estimator divides by ``p^4`` and samples with probability ``p``."""
+    if not 0 < p <= 1:
+        raise ValueError(f"sampling probability p must be in (0, 1], got {p!r}")
+
+
 def sample_edges_pdf(edges: pd.DataFrame, p: float, seed: int) -> pd.DataFrame:
     g = np.random.default_rng(seed)
     keep = g.random(len(edges)) < p
@@ -30,6 +36,7 @@ def approx_tbc_local(
     counter: Callable = count_local,
 ) -> np.ndarray:
     """Estimated per-type counts (floats) on a pandas edge frame."""
+    _check_p(p)
     sampled = sample_edges_pdf(edges, p, seed)
     return counter(sampled, delta) / p**4
 
@@ -45,6 +52,7 @@ def approx_tbc(
     """Estimated counts as a (btype, est) frame; ``counter`` is any of
     the exact Spark counting algorithms (ApproxTBC / ApproxTBC⁺ /
     ApproxTBC⁺⁺ are the same wrapper over tbc / tbc_plus / tbc_pp)."""
+    _check_p(p)
     sampled = edges.where(F.rand(seed) < p)
     exact = counter(spark, sampled, delta)
     return exact.select("btype", (F.col("cnt") / F.lit(p**4)).alias("est"))

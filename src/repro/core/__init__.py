@@ -9,6 +9,6 @@ priority   vertex priority (Definition 4) as a Spark DataFrame
 wedges     temporal wedge enumeration (Definition 1) with priority filters
 baseline   TBC / TBE — the §3 baselines as pure-Catalyst dataflows
 wedge_set  wedge set + wedge priority combine kernels (§4) — pure python
-optimized  TBC+ / TBC++ — §4 counting over applyInPandas groups
-enumerate_ TBE+ — §4.3 enumeration over applyInPandas groups
+optimized  TBC+ / TBC++ — §4 counting, one (s, e) group walker per partition
+enumerate_ TBE+ — §4.3 enumeration on the same group walker
 """

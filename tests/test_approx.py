@@ -62,6 +62,14 @@ class TestSampling:
         exact = counts_to_dict(tbc(spark, sdf, DELTA))
         assert {k: int(v) for k, v in est.items()} == exact
 
+    @pytest.mark.parametrize("p", [0.0, 1.5])
+    def test_p_outside_unit_interval_raises(self, spark, p):
+        pdf = _graph(seed=5, n=50)
+        with pytest.raises(ValueError, match="p must be in"):
+            approx_tbc_local(pdf, DELTA, p=p)
+        with pytest.raises(ValueError, match="p must be in"):
+            approx_tbc(spark, spark.createDataFrame(pdf), DELTA, p=p)
+
 
 class TestMape:
     def test_zero_error(self):

@@ -1,6 +1,9 @@
 """TBC⁺ / TBC⁺⁺ / TBE⁺ on Spark vs oracle, baseline, and brute force."""
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,86 @@ def test_grouped_wedges_adds_no_join(spark):
 
     sdf = spark.createDataFrame(random_bipartite_pdf(6, 6, 60, seed=66))
     assert joins(grouped_wedges(sdf, 100)) <= joins(wedges_pruned(sdf, 100))
+
+
+@contextmanager
+def _conf(spark, **settings):
+    """Session settings for one block, restored afterwards."""
+    old = {k: spark.conf.get(k) for k in settings}
+    try:
+        for k, v in settings.items():
+            spark.conf.set(k, v)
+        yield
+    finally:
+        for k, v in old.items():
+            spark.conf.set(k, v)
+
+
+def _viable_rows(wedges_pdf):
+    """Reference for ``grouped_wedges``: pandas keeps groups with two middles."""
+    viable = wedges_pdf.groupby(["s", "e"])["m"].transform("nunique") > 1
+    cols = ["s", "e", "m", "layer", "lo", "hi", "fwd"]
+    return sorted(map(tuple, wedges_pdf.loc[viable, cols].itertuples(index=False)))
+
+
+def test_groups_split_across_arrow_batches(spark):
+    """Two rows per Arrow batch: nearly every (s, e) group straddles
+    batches, so a walker that lost the group carried from one batch into
+    the next would undercount."""
+    pdf = random_bipartite_pdf(3, 4, 48, seed=5)
+    delta = int(pdf["t"].max() - pdf["t"].min()) // 2
+    sdf = spark.createDataFrame(pdf)
+    pruned = wedges_pruned(sdf, delta).toPandas()
+    assert pruned.groupby(["s", "e"]).size().max() > 10
+    want = brute_counts(pdf, delta)
+    with _conf(spark, **{"spark.sql.execution.arrow.maxRecordsPerBatch": "2"}):
+        for algo in (tbc_plus, tbc_pp):
+            assert counts_to_dict(algo(spark, sdf, delta)) == want, algo.__name__
+        got = tbe_plus(spark, sdf, delta).toPandas()
+        gw = grouped_wedges(sdf, delta).toPandas()
+    assert len(got) == sum(want.values())
+    assert canon_instances(got) == canon_instances(brute_instances(pdf, delta))
+    assert sorted(map(tuple, gw.itertuples(index=False))) == _viable_rows(pruned)
+
+
+def test_no_viable_group_and_empty_partitions(spark):
+    """A tree with repeated edges: every (s, e) group has wedges but one
+    middle, so nothing is viable, and 64 uncoalesced shuffle partitions
+    outnumber the groups, so most partitions reach the walker empty."""
+    path = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (0, 3)]
+    rows = [(u, v, 10 * i + k) for i, (u, v) in enumerate(path) for k in range(3)]
+    sdf = spark.createDataFrame(edges_pdf(rows))
+    delta = 100
+    with _conf(spark, **{
+        "spark.sql.shuffle.partitions": "64",
+        "spark.sql.adaptive.coalescePartitions.enabled": "false",
+    }):
+        pruned = wedges_pruned(sdf, delta).toPandas()
+        assert 0 < pruned.groupby(["s", "e"]).ngroups < 64
+        assert (pruned.groupby(["s", "e"])["m"].nunique() == 1).all()
+        for algo in (tbc_plus, tbc_pp):
+            got = sorted(map(tuple, algo(spark, sdf, delta).collect()))
+            assert got == [(i, 0) for i in range(6)], algo.__name__
+        assert tbe_plus(spark, sdf, delta).count() == 0
+        assert grouped_wedges(sdf, delta).count() == 0
+
+
+def test_walker_plan_has_one_exchange_above_the_wedge_join(spark):
+    """Above the wedge join: one (s, e) hash exchange, a sort and the
+    ``MapInPandas`` walker; no per-group Python operator and no window.
+    The only other exchange is the single-partition one of TBC⁺⁺'s sum."""
+    sdf = spark.createDataFrame(random_bipartite_pdf(6, 6, 60, seed=66))
+    for df in (tbc_pp(spark, sdf, 100), tbe_plus(spark, sdf, 100)):
+        plan = df._jdf.queryExecution().executedPlan().toString().splitlines()
+        top = plan[: next(i for i, line in enumerate(plan) if "Join " in line)]
+        ops = [line.lstrip(" :+-").split(" ")[0] for line in top]
+        assert "MapInPandas" in ops
+        assert "FlatMapGroupsInPandas" not in ops and "Window" not in ops
+        exchanges = [line for line in top if "Exchange " in line]
+        hashed = [x for x in exchanges if "hashpartitioning" in x]
+        assert len(hashed) == 1
+        assert re.search(r"hashpartitioning\(s#\d+L, e#\d+L, \d+\)", hashed[0])
+        assert all("SinglePartition" in x for x in exchanges if x not in hashed)
 
 
 @pytest.mark.parametrize("seed", range(3))
