@@ -5,7 +5,7 @@ Modules
 schema     edge-frame conventions, gid encoding, shared constants
 classify   the 6-type temporal-butterfly algebra (python / SQL)
 brute      exact reference implementations (pandas + DuckDB SQL oracle)
-priority   vertex priority (Definition 4) as a Spark DataFrame
+priority   directed half-edges; vertex priority (Definition 4) as a rank
 wedges     temporal wedge enumeration (Definition 1) with priority filters
 baseline   TBC / TBE — the §3 baselines as pure-Catalyst dataflows
 wedge_set  wedge set + wedge priority combine kernels (§4) — pure python

@@ -1,8 +1,10 @@
 """Vertex priority (Definition 4) over the unified gid space.
 
 ``P_V(u) > P_V(w)`` iff ``|E(u)| > |E(w)|``, ties broken by vertex id.
-We materialize the priority as a dense integer rank so downstream joins
-compare a single column instead of a (degree, id) tuple.
+The wedge phase (`repro.core.wedges`) only ever compares two vertices,
+so it carries each half-edge endpoint's priority as a ``(degree, gid)``
+struct and builds no rank. ``vertex_priority`` materializes the same
+order as a dense integer rank, for inspection and tests.
 """
 from __future__ import annotations
 
@@ -31,9 +33,9 @@ def directed_halves(edges: DataFrame) -> DataFrame:
 def vertex_priority(edges: DataFrame) -> DataFrame:
     """(gid, prio) with prio in [1, |V|], higher = higher priority.
 
-    The rank is a single unpartitioned window sort over |V| rows — tiny
-    next to |E| and executed once per counting run, mirroring the
-    paper's O(|V| log |V|) priority assignment.
+    The rank is a single unpartitioned window sort over |V| rows,
+    mirroring the paper's O(|V| log |V|) priority assignment. No counter
+    calls it: the wedge phase compares (degree, gid) structs instead.
     """
     deg = directed_halves(edges).groupBy("a").agg(F.count("*").alias("deg"))
     w = Window.orderBy(F.col("deg").asc(), F.col("a").asc())

@@ -5,6 +5,13 @@ whose start-vertex ``s`` out-ranks both the middle ``m`` and the end
 ``e`` (the BFC-VP rule the paper inherits: each static butterfly is then
 assembled exactly once, from its highest-priority vertex).
 
+The rule only ever compares two vertices, so no global rank is built.
+Each directed half-edge ``a → b`` carries both endpoints' priorities as
+``(degree, gid)`` structs, the degrees being window counts over the
+half-edges; Spark orders structs field by field, which is exactly
+Definition 4. The wedges are then one self-join of the half-edges on
+the middle vertex.
+
 Two variants:
 
 * ``wedges``        — the §3 baseline's wedge stream (no δ knowledge).
@@ -15,11 +22,18 @@ Two variants:
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.priority import directed_halves, vertex_priority
+from repro.core.priority import directed_halves
 from repro.core.schema import gid_layer
+
+
+def _priority(end: str) -> F.Column:
+    """Definition 4's priority of half-edge endpoint ``end`` as a
+    (degree, gid) struct; the degree counts its temporal edges."""
+    degree = F.count("*").over(Window.partitionBy(end))
+    return F.struct(degree.alias("deg"), F.col(end).alias("gid"))
 
 
 def wedges(edges: DataFrame) -> DataFrame:
@@ -30,30 +44,20 @@ def wedges(edges: DataFrame) -> DataFrame:
     in the paper: whichever of a butterfly's four vertices has top
     priority becomes the start.
     """
-    prio = vertex_priority(edges)
-    halves = directed_halves(edges)
-    h1 = (
-        halves.join(prio.withColumnRenamed("gid", "a"), "a")
-        .withColumnRenamed("prio", "prio_s")
-        .join(
-            prio.select(F.col("gid").alias("b"), F.col("prio").alias("prio_m")), "b"
-        )
-        .where(F.col("prio_s") > F.col("prio_m"))
-        .select(
-            F.col("a").alias("s"),
-            F.col("b").alias("m"),
-            F.col("t").alias("t1"),
-            "prio_s",
-        )
+    halves = directed_halves(edges).select(
+        "a", "b", "t", _priority("a").alias("pa"), _priority("b").alias("pb")
     )
-    h2 = directed_halves(edges).join(
-        prio.select(F.col("gid").alias("b"), F.col("prio").alias("prio_e")), "b"
-    ).select(
-        F.col("a").alias("m"), F.col("b").alias("e"), F.col("t").alias("t2"), "prio_e"
+    left = halves.where(F.col("pa") > F.col("pb")).select(
+        F.col("a").alias("s"), F.col("b").alias("m"), F.col("t").alias("t1"),
+        F.col("pa").alias("ps"),
+    )
+    right = halves.select(
+        F.col("a").alias("e"), F.col("b").alias("m"), F.col("t").alias("t2"),
+        F.col("pa").alias("pe"),
     )
     return (
-        h1.join(h2, "m")
-        .where(F.col("prio_s") > F.col("prio_e"))
+        left.join(right, "m")
+        .where(F.col("ps") > F.col("pe"))
         .select("s", "m", "e", "t1", "t2", gid_layer(F.col("s")).alias("layer"))
     )
 

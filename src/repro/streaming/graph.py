@@ -8,7 +8,6 @@ queue and process it in chronological order", which makes every
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import defaultdict
 
 import pandas as pd
 
@@ -17,7 +16,7 @@ class StreamGraph:
     """Mutable temporal bipartite graph keyed by gids."""
 
     def __init__(self) -> None:
-        self.adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        self.adj: dict[int, list[tuple[int, int]]] = {}
         self.n_edges = 0
 
     @classmethod
@@ -31,18 +30,22 @@ class StreamGraph:
         """Add edge (u ∈ U, v ∈ L, t). ``insort`` keeps lists sorted even
         for out-of-order insertion; chronological streams append in O(1)."""
         gu, gv = 2 * u, 2 * v + 1
-        insort(self.adj[gu], (t, gv))
-        insort(self.adj[gv], (t, gu))
+        insort(self.adj.setdefault(gu, []), (t, gv))
+        insort(self.adj.setdefault(gv, []), (t, gu))
         self.n_edges += 1
 
     def delete(self, u: int, v: int, t: int) -> None:
+        """Remove edge (u, v, t); a vertex whose last edge leaves drops
+        out of ``adj``. ``KeyError`` (and no change) if it is absent."""
         gu, gv = 2 * u, 2 * v + 1
         for a, b in ((gu, gv), (gv, gu)):
-            lst = self.adj[a]
+            lst = self.adj.get(a, [])
             i = bisect_left(lst, (t, b))
             if i >= len(lst) or lst[i] != (t, b):
                 raise KeyError(f"edge ({u}, {v}, {t}) not present")
             lst.pop(i)
+            if not lst:
+                del self.adj[a]
         self.n_edges -= 1
 
     def neighbors_in(self, gid: int, lo: int, hi: int) -> list[tuple[int, int]]:

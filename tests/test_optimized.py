@@ -114,6 +114,30 @@ def test_grouped_wedges_adds_no_join(spark):
     assert joins(grouped_wedges(sdf, 100)) <= joins(wedges_pruned(sdf, 100))
 
 
+def test_tbc_pp_job_count(spark):
+    """One TBC⁺⁺ call is a handful of Spark jobs: the wedge phase ranks
+    no vertex globally and joins no priority table."""
+    sdf = spark.createDataFrame(random_bipartite_pdf(6, 6, 60, seed=66))
+    sc = spark.sparkContext
+    sc.setJobGroup("tbc-pp-jobs", "one TBC++ call")
+    try:
+        tbc_pp(spark, sdf, 100).collect()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert len(sc.statusTracker().getJobIdsForGroup("tbc-pp-jobs")) <= 8
+
+
+def test_wedge_plan_is_one_self_join(spark):
+    """The wedges are one join of the half-edges, with no single-partition
+    sort for a global vertex rank."""
+    sdf = spark.createDataFrame(random_bipartite_pdf(6, 6, 60, seed=66))
+    plan = wedges_pruned(sdf, 100)._jdf.queryExecution().executedPlan().toString()
+    ops = [line.lstrip(" :+-").split(" ")[0] for line in plan.splitlines()]
+    assert sum(op.endswith("Join") for op in ops) == 1
+    assert "SinglePartition" not in plan
+
+
 @contextmanager
 def _conf(spark, **settings):
     """Session settings for one block, restored afterwards."""

@@ -40,10 +40,29 @@ class TestStreamGraph:
         assert g.to_pdf().equals(edges_pdf([(0, 0, 1), (0, 1, 3)]))
 
     def test_delete_missing_raises(self):
-        g = StreamGraph()
-        g.insert(0, 0, 5)
-        with pytest.raises(KeyError):
-            g.delete(0, 0, 6)
+        """An absent edge raises and leaves ``adj`` as it was, also when
+        its endpoints have no edges."""
+        g = StreamGraph.from_pdf(edges_pdf([(0, 0, 5), (1, 2, 7)]))
+        before = {k: list(v) for k, v in g.adj.items()}
+        for u, v, t in ((0, 0, 6), (3, 0, 5), (0, 4, 5), (8, 9, 1)):
+            with pytest.raises(KeyError):
+                g.delete(u, v, t)
+        assert g.adj == before and g.n_edges == 2
+
+    def test_long_stream_keeps_only_live_vertices(self):
+        """A vertex leaves ``adj`` with its last edge, so a long stream
+        through a small window does not grow the snapshot."""
+        rng = np.random.default_rng(0)
+        g, live = StreamGraph(), []
+        for t in range(2000):
+            edge = (int(rng.integers(500)), int(rng.integers(500)), t)
+            g.insert(*edge)
+            live.append(edge)
+            if len(live) > 10:
+                g.delete(*live.pop(0))
+        want = {2 * u for u, _, _ in live} | {2 * v + 1 for _, v, _ in live}
+        assert set(g.adj) == want
+        assert all(g.adj.values()) and g.n_edges == len(live)
 
     def test_range_query(self):
         g = StreamGraph.from_pdf(

@@ -4,8 +4,12 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
+from repro.core.baseline import tbc
+from repro.core.brute import brute_counts
+from repro.core.optimized import tbc_plus, tbc_pp
+from repro.core.schema import counts_to_dict
 from repro.core.wedges import wedges, wedges_pruned
-from tests.util import random_bipartite_pdf
+from tests.util import edges_pdf, random_bipartite_pdf
 
 
 def _ref_wedges(pdf: pd.DataFrame) -> set[tuple]:
@@ -41,6 +45,36 @@ def test_wedges_match_reference(spark, seed):
         for r in wedges(spark.createDataFrame(pdf)).collect()
     }
     assert got == _ref_wedges(pdf)
+
+
+TIE_GRAPHS = {
+    # K3,3 with one edge per pair: every vertex has degree 3, so the gid
+    # alone decides each priority comparison
+    "equal_degrees": edges_pdf(
+        [(u, v, 3 * u + v + 1) for u in range(3) for v in range(3)]
+    ),
+    # repeated (u, v) pairs: u0 has 5 temporal edges but 2 neighbours, u1
+    # and u2 have 3 of each, so u0 outranks them only by edge degree
+    "multi_edges": edges_pdf(
+        [(0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 4), (0, 1, 5), (1, 0, 6),
+         (1, 1, 7), (1, 2, 8), (2, 1, 9), (2, 2, 10), (2, 0, 11)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TIE_GRAPHS)
+def test_degree_then_gid_priority(spark, name):
+    """Definition 4 ranks by temporal-edge degree, ties broken by gid;
+    every counter built on the wedges still counts each butterfly once."""
+    pdf = TIE_GRAPHS[name]
+    sdf = spark.createDataFrame(pdf)
+    got = {tuple(r[:5]) for r in wedges(sdf).collect()}
+    assert got == _ref_wedges(pdf)
+    delta = 6
+    want = brute_counts(pdf, delta)
+    assert 0 < sum(want.values()) < sum(brute_counts(pdf, 100).values())
+    for algo in (tbc_pp, tbc_plus, tbc):
+        assert counts_to_dict(algo(spark, sdf, delta)) == want, algo.__name__
 
 
 def test_wedge_layers(spark):
