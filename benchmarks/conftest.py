@@ -1,10 +1,18 @@
 """Benchmark-suite fixtures: warm the Spark JVM, Arrow path and python
 workers once, so the first measured benchmark is not charged for
-session/executor startup (the paper likewise excludes loading time)."""
+session/executor startup (the paper likewise excludes loading time).
+
+The benchmarks run the ``jobs/`` entry points' ``run()`` functions, so
+``jobs/`` goes on ``sys.path`` here, as in ``tests/test_jobs.py``."""
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pandas as pd
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "jobs"))
 
 
 @pytest.fixture(scope="session", autouse=True)

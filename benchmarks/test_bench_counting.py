@@ -4,21 +4,20 @@ Backs the paper's headline comparisons: TBC < TBC⁺ < TBC⁺⁺ and
 TBE < TBE⁺, with the baseline skipped on the dense analogs (the analog
 of its DNF on LF/WT under the paper's 100k-second cap), plus the
 generic temporal-motif comparator that §6 excludes for blowing up.
+The Spark rows come from ``jobs/run_counting.py`` and
+``jobs/run_enumeration.py``.
 Rows → ``results/counting.csv``, EXPERIMENTS.md § Figure 11.
 """
 from __future__ import annotations
 
 import pytest
+import run_counting
+import run_enumeration
 
 from benchmarks._util import once, record
-from repro.core.baseline import tbc, tbe
-from repro.core.enumerate_ import tbe_plus
-from repro.core.optimized import tbc_plus, tbc_pp
-from repro.core.schema import counts_to_dict, days
+from repro.core.schema import days
 from repro.datasets import DATASETS
 from repro.motif.generic import generic_motif_counts
-
-DELTA = days(40)
 
 #: all three counters on the lighter analogs (TW included although dense:
 #: it is the row that exposes the baseline's quadratic wedge-pair cost)...
@@ -26,82 +25,53 @@ LIGHT = ["WQ", "WN", "SO", "BS", "AM", "TW"]
 #: ...but only the optimized ones on the densest analogs (baseline "DNF")
 HEAVY = ["CU", "ER", "EP", "LF", "WT"]
 
-COUNTERS = {"tbc": tbc, "tbc+": tbc_plus, "tbc++": tbc_pp}
+
+def _record(benchmark, dataset, out, total):
+    """One counting.csv row from a job's per-type output."""
+    row = {
+        "dataset": dataset, "algo": out["algo"].iloc[0],
+        "edges": int(out["edges"].iloc[0]), "total": int(total),
+        "seconds": float(out["seconds"].iloc[0]),
+    }
+    benchmark.extra_info.update(row)
+    record("counting", row)
 
 
-def _cached(spark, name):
-    sdf = DATASETS[name].generate(spark, DATASETS[name].bench_scale).cache()
-    n = sdf.count()
-    return sdf, n
-
-
-@pytest.mark.parametrize("algo", list(COUNTERS))
+@pytest.mark.parametrize("algo", ["tbc", "tbc+", "tbc++"])
 @pytest.mark.parametrize("name", LIGHT)
 def test_counting_light(benchmark, spark, name, algo):
-    sdf, n = _cached(spark, name)
-    counts = once(benchmark, lambda: counts_to_dict(COUNTERS[algo](spark, sdf, DELTA)))
-    sdf.unpersist()
-    out = {
-        "dataset": name, "algo": algo, "edges": n,
-        "total": sum(counts.values()),
-        "seconds": round(benchmark.stats.stats.mean, 3),
-    }
-    benchmark.extra_info.update(out)
-    record("counting", out)
+    out = once(benchmark, lambda: run_counting.run(spark, name, algo))
+    _record(benchmark, name, out, out["cnt"].sum())
 
 
 @pytest.mark.parametrize("algo", ["tbc+", "tbc++"])
 @pytest.mark.parametrize("name", HEAVY)
 def test_counting_heavy(benchmark, spark, name, algo):
-    sdf, n = _cached(spark, name)
-    counts = once(benchmark, lambda: counts_to_dict(COUNTERS[algo](spark, sdf, DELTA)))
-    sdf.unpersist()
-    out = {
-        "dataset": name, "algo": algo, "edges": n,
-        "total": sum(counts.values()),
-        "seconds": round(benchmark.stats.stats.mean, 3),
-    }
-    benchmark.extra_info.update(out)
-    record("counting", out)
+    out = once(benchmark, lambda: run_counting.run(spark, name, algo))
+    _record(benchmark, name, out, out["cnt"].sum())
 
 
-@pytest.mark.parametrize("algo,fn", [("tbe", tbe), ("tbe+", tbe_plus)])
+@pytest.mark.parametrize("algo", ["tbe", "tbe+"])
 @pytest.mark.parametrize("name", ["WQ", "WN", "SO"])
-def test_enumeration(benchmark, spark, name, algo, fn):
-    sdf, n = _cached(spark, name)
-    total = once(benchmark, lambda: fn(spark, sdf, DELTA).count())
-    sdf.unpersist()
-    out = {
-        "dataset": name, "algo": algo, "edges": n, "total": int(total),
-        "seconds": round(benchmark.stats.stats.mean, 3),
-    }
-    benchmark.extra_info.update(out)
-    record("counting", out)
+def test_enumeration(benchmark, spark, name, algo):
+    out = once(benchmark, lambda: run_enumeration.run(spark, name, algo))
+    _record(benchmark, name, out, out["instances"].sum())
 
 
-@pytest.mark.parametrize("algo", list(COUNTERS))
+@pytest.mark.parametrize("algo", ["tbc", "tbc+", "tbc++"])
 def test_counting_scaled_tw(benchmark, spark, algo):
     """TW at 1.5x the bench scale: the regime where the baseline's
     quadratic wedge-pair join visibly falls behind (paper: 1.9x–161.9x
     TBC⁺ speedups, with outright DNFs on the dense datasets — at 2.5x
     scale our TBC no longer finishes in the bench budget either)."""
-    sdf = DATASETS["TW"].generate(spark, 0.003).cache()
-    n = sdf.count()
-    counts = once(benchmark, lambda: counts_to_dict(COUNTERS[algo](spark, sdf, DELTA)))
-    sdf.unpersist()
-    out = {
-        "dataset": "TW@0.003", "algo": algo, "edges": n,
-        "total": sum(counts.values()),
-        "seconds": round(benchmark.stats.stats.mean, 3),
-    }
-    benchmark.extra_info.update(out)
-    record("counting", out)
+    out = once(benchmark, lambda: run_counting.run(spark, "TW", algo, scale=0.003))
+    _record(benchmark, "TW@0.003", out, out["cnt"].sum())
 
 
 def test_generic_motif_comparator(benchmark, spark):
     """The excluded competitor, at the smallest analog: already slow."""
     pdf = DATASETS["WQ"].generate_pdf(DATASETS["WQ"].bench_scale)
-    counts = once(benchmark, lambda: generic_motif_counts(pdf, DELTA))
+    counts = once(benchmark, lambda: generic_motif_counts(pdf, days(40)))
     out = {
         "dataset": "WQ", "algo": "generic-motif", "edges": len(pdf),
         "total": int(counts.sum()),

@@ -1,38 +1,30 @@
 """Varying the duration constraint δ (Figures 13/14/16 claims).
 
-TBC⁺ and TBC⁺⁺ across δ ∈ {10..160} days on two analogs: time should
-grow with δ (faster for TBC⁺), per-type counts should rise
-monotonically. Rows → ``results/delta_sweep.csv``.
+TBC⁺ and TBC⁺⁺ across δ ∈ {10..160} days on two analogs, run by
+``jobs/run_counting.py``: time should grow with δ (faster for TBC⁺),
+per-type counts should rise monotonically.
+Rows → ``results/delta_sweep.csv``.
 """
 from __future__ import annotations
 
 import pytest
+import run_counting
 
 from benchmarks._util import once, record
-from repro.core.optimized import tbc_plus, tbc_pp
-from repro.core.schema import counts_to_dict, days
-from repro.datasets import DATASETS
-
-DELTA_DAYS = [10, 20, 40, 80, 160]
-ALGOS = {"tbc+": tbc_plus, "tbc++": tbc_pp}
 
 
-@pytest.mark.parametrize("delta_days", DELTA_DAYS)
-@pytest.mark.parametrize("algo", list(ALGOS))
+@pytest.mark.parametrize("delta_days", [10, 20, 40, 80, 160])
+@pytest.mark.parametrize("algo", ["tbc+", "tbc++"])
 @pytest.mark.parametrize("name", ["WN", "ER"])
 def test_delta_sweep(benchmark, spark, name, algo, delta_days):
-    cfg = DATASETS[name]
-    sdf = cfg.generate(spark, cfg.bench_scale).cache()
-    sdf.count()
-    counts = once(
-        benchmark, lambda: counts_to_dict(ALGOS[algo](spark, sdf, days(delta_days)))
+    out = once(
+        benchmark, lambda: run_counting.run(spark, name, algo, delta_days=delta_days)
     )
-    sdf.unpersist()
-    out = {
+    row = {
         "dataset": name, "algo": algo, "delta_days": delta_days,
-        "total": sum(counts.values()),
-        **{f"T{i}": counts[i] for i in range(6)},
-        "seconds": round(benchmark.stats.stats.mean, 3),
+        "total": int(out["cnt"].sum()),
+        **{f"T{b}": int(c) for b, c in zip(out["btype"], out["cnt"])},
+        "seconds": float(out["seconds"].iloc[0]),
     }
-    benchmark.extra_info.update(out)
-    record("delta_sweep", out)
+    benchmark.extra_info.update(row)
+    record("delta_sweep", row)

@@ -1,38 +1,27 @@
 """Scalability over graph size (Figure 15 claims).
 
-TBC⁺⁺ on random edge subsets {20,40,60,80,100}% of two analogs: cost
-should grow roughly linearly with the kept fraction.
-Rows → ``results/scalability.csv``.
+TBC⁺⁺ on random edge subsets {20,40,60,80,100}% of two analogs, run by
+``jobs/run_counting.py --edge-frac``: cost should grow roughly linearly
+with the kept fraction. Rows → ``results/scalability.csv``.
 """
 from __future__ import annotations
 
 import pytest
-from pyspark.sql import functions as F
+import run_counting
 
 from benchmarks._util import once, record
-from repro.core.optimized import tbc_pp
-from repro.core.schema import counts_to_dict, days
-from repro.datasets import DATASETS
-
-DELTA = days(40)
-FRACTIONS = [0.2, 0.4, 0.6, 0.8, 1.0]
 
 
-@pytest.mark.parametrize("frac", FRACTIONS)
+@pytest.mark.parametrize("frac", [0.2, 0.4, 0.6, 0.8, 1.0])
 @pytest.mark.parametrize("name", ["WN", "ER"])
 def test_scalability(benchmark, spark, name, frac):
-    cfg = DATASETS[name]
-    sdf = cfg.generate(spark, cfg.bench_scale)
-    if frac < 1.0:
-        sdf = sdf.where(F.rand(7) < frac)
-    sdf = sdf.cache()
-    n = sdf.count()
-    counts = once(benchmark, lambda: counts_to_dict(tbc_pp(spark, sdf, DELTA)))
-    sdf.unpersist()
-    out = {
-        "dataset": name, "frac": frac, "edges": n,
-        "total": sum(counts.values()),
-        "seconds": round(benchmark.stats.stats.mean, 3),
+    out = once(
+        benchmark, lambda: run_counting.run(spark, name, "tbc++", edge_frac=frac, seed=7)
+    )
+    row = {
+        "dataset": name, "frac": frac, "edges": int(out["edges"].iloc[0]),
+        "total": int(out["cnt"].sum()),
+        "seconds": float(out["seconds"].iloc[0]),
     }
-    benchmark.extra_info.update(out)
-    record("scalability", out)
+    benchmark.extra_info.update(row)
+    record("scalability", row)

@@ -1,66 +1,44 @@
 """Streaming evaluation (Figures 18/19/20 claims).
 
 Sliding-window counting on the LF/WT analogs: window sweep (time grows
-with |window|), stride sweep (STBC stable, STBC⁺ amortizes), and the
-task-parallelism sweep standing in for the paper's thread sweep.
-Rows → ``results/streaming.csv``.
+with |window|) and stride sweep (STBC stable, STBC⁺ amortizes), both run
+by ``jobs/run_streaming.py``, and the task-parallelism sweep standing in
+for the paper's thread sweep. Rows → ``results/streaming.csv``.
 """
 from __future__ import annotations
 
 import pytest
+import run_streaming
 
 from benchmarks._util import once, record
 from repro.core.schema import days
 from repro.datasets import DATASETS
-from repro.streaming.window import sliding_window_stbc, sliding_window_stbc_plus
 
 DELTA = days(40)
 STREAM_SCALE = 0.0002  # streams are replayed edge-by-edge; keep them lean
 
 
-def _pdf(name):
-    return DATASETS[name].generate_pdf(STREAM_SCALE)
-
-
-def _record(benchmark, steps, **labels):
-    out = {
-        **labels,
-        "steps": len(steps),
-        "final_total": int(steps[-1].counts.sum()),
-        "seconds": round(benchmark.stats.stats.mean, 3),
-    }
-    benchmark.extra_info.update(out)
-    record("streaming", out)
+def _slide(benchmark, name, algo, window, stride_pct):
+    """One sliding-window run of the streaming job, recorded as it returns."""
+    out = once(benchmark, lambda: run_streaming.run(
+        None, name, algo, window=window, stride_pct=stride_pct, scale=STREAM_SCALE
+    ))
+    row = out.to_dict("records")[0]
+    benchmark.extra_info.update(row)
+    record("streaming", row)
 
 
 @pytest.mark.parametrize("window", [500, 1000, 2000])
-@pytest.mark.parametrize("algo", ["stbc", "stbc+1"])
+@pytest.mark.parametrize("algo", ["stbc", "stbc+"])
 @pytest.mark.parametrize("name", ["LF", "WT"])
 def test_window_sweep(benchmark, name, algo, window):
-    pdf = _pdf(name)
-    stride = max(1, window // 20)  # |stride| = 5% of |window|, as in §6.2
-    runner = (
-        (lambda: sliding_window_stbc(pdf, window=window, stride=stride, delta=DELTA))
-        if algo == "stbc"
-        else (lambda: sliding_window_stbc_plus(pdf, window=window, stride=stride, delta=DELTA))
-    )
-    steps = once(benchmark, runner)
-    _record(benchmark, steps, dataset=name, algo=algo, window=window, stride=stride)
+    _slide(benchmark, name, algo, window, 5)  # |stride| = 5% of |window|, as in §6.2
 
 
 @pytest.mark.parametrize("stride_pct", [1, 5, 10, 25])
-@pytest.mark.parametrize("algo", ["stbc", "stbc+1"])
+@pytest.mark.parametrize("algo", ["stbc", "stbc+"])
 def test_stride_sweep(benchmark, algo, stride_pct):
-    pdf = _pdf("LF")
-    window = 1000
-    stride = max(1, window * stride_pct // 100)
-    runner = (
-        (lambda: sliding_window_stbc(pdf, window=window, stride=stride, delta=DELTA))
-        if algo == "stbc"
-        else (lambda: sliding_window_stbc_plus(pdf, window=window, stride=stride, delta=DELTA))
-    )
-    steps = once(benchmark, runner)
-    _record(benchmark, steps, dataset="LF", algo=algo, window=window, stride=stride)
+    _slide(benchmark, "LF", algo, 1000, stride_pct)
 
 
 @pytest.mark.parametrize("par", [1, 4, 16])

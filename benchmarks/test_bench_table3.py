@@ -1,44 +1,24 @@
 """Table 3 — dataset summary statistics of the 11 analogs.
 
-Regenerates the Table-3 rows (|E|, |U|, |L|, time span) with Spark
-aggregations; paper values are recorded next to measured ones in
+Records the rows of ``jobs/table3_datasets.py`` (|E|, |U|, |L|, time
+span from Spark aggregations, paper values alongside) in
 ``results/table3.csv``. See EXPERIMENTS.md § Table 3.
 """
 from __future__ import annotations
 
-import pytest
-from pyspark.sql import functions as F
+import table3_datasets
 
 from benchmarks._util import once, record
 from repro.datasets import DATASETS
 
+COLUMNS = [
+    "dataset", "scale", "paper_E", "repro_E", "paper_U", "repro_U",
+    "paper_L", "repro_L", "paper_span_days", "repro_span_days",
+]
 
-@pytest.mark.parametrize("name", list(DATASETS))
-def test_table3_row(benchmark, spark, name):
-    cfg = DATASETS[name]
 
-    def row():
-        sdf = cfg.generate(spark, cfg.bench_scale)
-        return sdf.agg(
-            F.count("*").alias("edges"),
-            F.count_distinct("u").alias("upper"),
-            F.count_distinct("v").alias("lower"),
-            ((F.max("t") - F.min("t")) / 86_400_000.0).alias("span"),
-        ).collect()[0]
-
-    agg = once(benchmark, row)
-    out = {
-        "dataset": name,
-        "scale": cfg.bench_scale,
-        "paper_E": cfg.paper_edges,
-        "repro_E": int(agg["edges"]),
-        "paper_U": cfg.paper_upper,
-        "repro_U": int(agg["upper"]),
-        "paper_L": cfg.paper_lower,
-        "repro_L": int(agg["lower"]),
-        "paper_span_days": cfg.span_days,
-        "repro_span_days": round(float(agg["span"]), 2),
-    }
-    benchmark.extra_info.update(out)
-    record("table3", out)
-    assert out["repro_E"] == cfg.sizes(cfg.bench_scale)[0]
+def test_table3(benchmark, spark):
+    out = once(benchmark, lambda: table3_datasets.run(spark))
+    for row in out[COLUMNS].to_dict("records"):
+        record("table3", row)
+    assert list(out["repro_E"]) == [c.sizes(c.bench_scale)[0] for c in DATASETS.values()]

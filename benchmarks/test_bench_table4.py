@@ -1,34 +1,23 @@
 """Table 4 — per-type distribution of temporal butterfly counts, δ=40d.
 
-Runs TBC⁺⁺ (the paper's best counter) on every dataset analog and
-records each type's share of the total against the paper's Table-4
-percentages → ``results/table4.csv``, EXPERIMENTS.md § Table 4.
+Runs ``jobs/table4_distribution.py`` (TBC⁺⁺, the paper's best counter)
+on each dataset analog and records each type's share of the total
+against the paper's Table-4 percentages → ``results/table4.csv``,
+EXPERIMENTS.md § Table 4.
 """
 from __future__ import annotations
 
 import pytest
+import table4_distribution
 
 from benchmarks._util import once, record
-from repro.core.optimized import tbc_pp
-from repro.core.schema import counts_to_dict, days
-from repro.datasets import DATASETS, PAPER_TABLE4
-
-DELTA = days(40)
+from repro.datasets import DATASETS
 
 
 @pytest.mark.parametrize("name", list(DATASETS))
 def test_table4_row(benchmark, spark, name):
-    cfg = DATASETS[name]
-    sdf = cfg.generate(spark, cfg.bench_scale).cache()
-    sdf.count()
-
-    counts = once(benchmark, lambda: counts_to_dict(tbc_pp(spark, sdf, DELTA)))
-    sdf.unpersist()
-    total = sum(counts.values())
-    out = {"dataset": name, "total": total}
-    for i in range(6):
-        out[f"T{i}_paper_pct"] = PAPER_TABLE4[name][i]
-        out[f"T{i}_repro_pct"] = round(100.0 * counts[i] / total, 1) if total else 0.0
-    benchmark.extra_info.update(out)
-    record("table4", out)
-    assert total > 0, f"{name} analog produced no butterflies at delta=40d"
+    out = once(benchmark, lambda: table4_distribution.run(spark, names=[name]))
+    row = out.to_dict("records")[0]
+    benchmark.extra_info.update(row)
+    record("table4", row)
+    assert row["total"] > 0, f"{name} analog produced no butterflies at delta=40d"

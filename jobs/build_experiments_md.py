@@ -2,8 +2,8 @@
 
     python jobs/build_experiments_md.py        # prints markdown to stdout
 
-Run ``pytest benchmarks/ --benchmark-only`` first; each benchmark
-appends its measured row to ``results/``. This script renders those
+Run ``pytest benchmarks/ --benchmark-only`` first; the run rewrites
+``results/*.csv`` with one row per benchmark. This script renders those
 rows as the paper-vs-measured markdown tables embedded in
 EXPERIMENTS.md.
 """

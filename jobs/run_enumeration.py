@@ -33,7 +33,7 @@ def run(
 ) -> pd.DataFrame:
     cfg = DATASETS[dataset]
     sdf = cfg.generate(spark, scale if scale is not None else cfg.bench_scale).cache()
-    sdf.count()
+    n_edges = sdf.count()
     fn = resolve_enum_algo(algo)
     t0 = time.perf_counter()
     inst = fn(spark, sdf, days(delta_days))
@@ -44,6 +44,7 @@ def run(
     elapsed = time.perf_counter() - t0
     per_type["dataset"] = dataset
     per_type["algo"] = algo
+    per_type["edges"] = n_edges
     per_type["seconds"] = round(elapsed, 3)
     sdf.unpersist()
     return per_type

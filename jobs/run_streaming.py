@@ -55,7 +55,8 @@ def run(
         [
             {
                 "dataset": dataset,
-                "algo": algo if parallelism <= 1 else f"{algo}-{parallelism}",
+                # STBC is sequential; STBC⁺ is labelled with its task count
+                "algo": algo if algo == "stbc" else f"stbc+{parallelism}",
                 "window": window,
                 "stride": stride,
                 "steps": len(steps),

@@ -19,6 +19,7 @@ from pyspark.sql import functions as F
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import make_session, print_table  # noqa: E402
 
+from repro.core.schema import MS_PER_DAY  # noqa: E402
 from repro.datasets import DATASETS  # noqa: E402
 
 
@@ -31,7 +32,7 @@ def run(spark: SparkSession, scale: float | None = None) -> pd.DataFrame:
             F.count("*").alias("edges"),
             F.count_distinct("u").alias("upper"),
             F.count_distinct("v").alias("lower"),
-            ((F.max("t") - F.min("t")) / 86_400_000.0).alias("span_days"),
+            ((F.max("t") - F.min("t")) / MS_PER_DAY).alias("span_days"),
         ).collect()[0]
         rows.append(
             {

@@ -29,6 +29,7 @@ from pyspark.sql.types import StructType
 from repro.core.schema import N_TYPES
 from repro.core.wedge_set import count_group_plus, count_group_pp
 from repro.core.wedges import wedges_pruned
+from repro.streaming.graph import StreamGraph
 
 _COUNT_COLS = [f"c{i}" for i in range(N_TYPES)]
 _KERNEL_OUT_SCHEMA = ", ".join(f"{c} long" for c in _COUNT_COLS)
@@ -134,29 +135,25 @@ def count_local(edges_pdf: pd.DataFrame, delta: int) -> np.ndarray:
     """Single-process TBC⁺⁺ over a pandas edge frame (no Spark).
 
     It mirrors the Spark dataflow: priority-filtered pruned wedges,
-    grouped by (s, e), combined with the tree kernel. The approximate
+    grouped by (s, e), combined with the tree kernel. The edges sit in a
+    ``StreamGraph``, whose time-sorted lists make Lemma 1's δ bound on
+    the second wedge edge a binary search. The approximate
     counters run it on their samples, and the benchmarks and tests use it
     as the in-process reference.
     """
     from collections import defaultdict
 
-    deg: dict[int, int] = defaultdict(int)
-    adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for u, v, t in edges_pdf[["u", "v", "t"]].itertuples(index=False):
-        gu, gv = 2 * int(u), 2 * int(v) + 1
-        deg[gu] += 1
-        deg[gv] += 1
-        adj[gu].append((gv, int(t)))
-        adj[gv].append((gu, int(t)))
-    pr = lambda g: (deg[g], g)
+    g = StreamGraph.from_pdf(edges_pdf.sort_values("t", kind="stable"))
+    pr = lambda x: (len(g.adj[x]), x)
     groups: dict[tuple[int, int], list[tuple]] = defaultdict(list)
-    for s in adj:
+    for s, lst in g.adj.items():
         ps = pr(s)
-        for m, t1 in adj[s]:
+        for t1, m in lst:
             if ps <= pr(m):
                 continue
-            for e, t2 in adj[m]:
-                if ps <= pr(e) or t1 == t2 or abs(t1 - t2) > delta:
+            # Lemma 1: only edges of m within δ of t1 close a wedge
+            for t2, e in g.neighbors_in(m, t1 - delta, t1 + delta):
+                if ps <= pr(e) or t1 == t2:
                     continue
                 groups[(s, e)].append(
                     (m, min(t1, t2), max(t1, t2), t1 < t2)

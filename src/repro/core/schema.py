@@ -32,14 +32,6 @@ EDGE_SCHEMA = StructType(
     ]
 )
 
-#: schema of per-type count results
-COUNTS_SCHEMA = StructType(
-    [
-        StructField("btype", LongType(), False),
-        StructField("cnt", LongType(), False),
-    ]
-)
-
 #: schema of canonical enumeration results: a butterfly instance on
 #: vertices {u1 < u2} x {v1 < v2} with tXY = time of edge (uX, vY)
 INSTANCE_SCHEMA = StructType(

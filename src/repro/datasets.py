@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.schema import MS_PER_DAY
 from repro.synth_data import temporal_bipartite_pdf
-
-#: the paper's default duration threshold (40 days), in ms
-DEFAULT_DELTA_DAYS = 40
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,8 @@ PAPER_TABLE4: dict[str, tuple[float, float, float, float, float, float]] = {
     "EP": (51.1, 3.2, 6.1, 34.4, 1.4, 3.8),
 }
 
-#: default reproduction scales
+#: the reproduction scale of the test suite
 TEST_SCALE = 0.0002
-BENCH_SCALE = 0.002
 
 
 def dataset_stats(pdf: pd.DataFrame) -> dict[str, float]:
@@ -122,5 +119,5 @@ def dataset_stats(pdf: pd.DataFrame) -> dict[str, float]:
         "edges": int(len(pdf)),
         "upper": int(pdf["u"].nunique()),
         "lower": int(pdf["v"].nunique()),
-        "span_days": float((pdf["t"].max() - pdf["t"].min()) / 86_400_000),
+        "span_days": float((pdf["t"].max() - pdf["t"].min()) / MS_PER_DAY),
     }

@@ -56,17 +56,3 @@ class StreamGraph:
         i = bisect_left(lst, (lo, -1))
         j = bisect_right(lst, (hi, 1 << 62))
         return lst[i:j]
-
-    def to_pdf(self) -> pd.DataFrame:
-        """The current edge set as a time-sorted layer-local frame."""
-        rows = [
-            (gid // 2, nbr // 2, t)
-            for gid, lst in self.adj.items()
-            if gid % 2 == 0
-            for t, nbr in lst
-        ]
-        return (
-            pd.DataFrame(rows, columns=["u", "v", "t"])
-            .astype("int64")
-            .sort_values("t", ignore_index=True)
-        )

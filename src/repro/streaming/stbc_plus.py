@@ -60,12 +60,10 @@ def stbc_plus_batch(
         return _batch_delta_local(g, batch, delta, mode)
 
     sc = spark.sparkContext
-    bc = sc.broadcast(dict(g.adj))
+    bc = sc.broadcast(g)
 
     def run(rows: Iterable[tuple]):
-        snap = StreamGraph()
-        snap.adj.update(bc.value)
-        yield _batch_delta_local(snap, rows, delta, mode)
+        yield _batch_delta_local(bc.value, rows, delta, mode)
 
     try:
         parts = sc.parallelize(batch, parallelism).mapPartitions(run).collect()

@@ -41,6 +41,8 @@ class _Driver:
     )
 
     def run(self, edges: pd.DataFrame, window: int, stride: int) -> list[StepResult]:
+        if window < 1 or stride < 1:
+            raise ValueError(f"window and stride must be >= 1, got {window}, {stride}")
         rows = [tuple(map(int, r)) for r in edges[["u", "v", "t"]].itertuples(index=False)]
         if sorted(r[2] for r in rows) != [r[2] for r in rows]:
             raise ValueError("stream edges must arrive in chronological order")

@@ -7,9 +7,8 @@ input.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
-_MS_PER_DAY = 86_400_000
+from repro.core.schema import MS_PER_DAY
 
 
 def _zipf_choice(
@@ -57,7 +56,7 @@ def temporal_bipartite_pdf(
     Columns: ``u``, ``v``, ``t`` (ms). Deterministic in ``seed``.
     """
     g = np.random.default_rng(seed)
-    span_ms = max(int(span_days * _MS_PER_DAY), 4 * n_edges)
+    span_ms = max(int(span_days * MS_PER_DAY), 4 * n_edges)
     n_follow = int(n_edges * follow_frac)
     n_base = n_edges - n_follow
     u = _zipf_choice(g, n_upper, n_base, alpha_u)
@@ -65,7 +64,7 @@ def temporal_bipartite_pdf(
     t = g.integers(0, span_ms, size=n_base)
     if n_follow:
         src = g.integers(0, n_base, size=n_follow)
-        gap = g.exponential(gap_days * _MS_PER_DAY, size=n_follow).astype(np.int64) + 1
+        gap = g.exponential(gap_days * MS_PER_DAY, size=n_follow).astype(np.int64) + 1
         ft = np.minimum(t[src] + gap, span_ms - 1)
         keep_v = g.random(n_follow) < follow_u_frac
         copycat = keep_v & (g.random(n_follow) < copycat_frac)
@@ -98,11 +97,6 @@ def temporal_bipartite_pdf(
     return pdf.astype("int64")
 
 
-def temporal_bipartite(spark: SparkSession, **kwargs) -> DataFrame:
-    """Spark wrapper over :func:`temporal_bipartite_pdf`."""
-    return spark.createDataFrame(temporal_bipartite_pdf(**kwargs))
-
-
 def extreme_hub_pdf(
     *, n_middles: int, span_days: float = 10.0, seed: int = 0
 ) -> pd.DataFrame:
@@ -118,7 +112,7 @@ def extreme_hub_pdf(
     g = np.random.default_rng(seed)
     n = 2 * n_middles
     t = g.permutation(n).astype(np.int64) * max(
-        1, int(span_days * _MS_PER_DAY) // n
+        1, int(span_days * MS_PER_DAY) // n
     )
     return pd.DataFrame(
         {

@@ -65,6 +65,7 @@ def test_enumeration_total_matches_counting(spark):
     cnt = run_counting.run(spark, "WN", "tbc++", delta_days=40.0, scale=TEST_SCALE)
     enu = run_enumeration.run(spark, "WN", "tbe+", delta_days=40.0, scale=TEST_SCALE)
     assert cnt["cnt"].sum() == enu["instances"].sum()
+    assert (enu["edges"] == cnt["edges"].iloc[0]).all()
 
 
 @pytest.mark.parametrize("algo,par", [("stbc", 1), ("stbc+", 1), ("stbc+", 2)])
@@ -75,3 +76,4 @@ def test_streaming_job(spark, algo, par):
     )
     assert out["steps"].iloc[0] > 1
     assert out["final_total"].iloc[0] >= 0
+    assert out["algo"].iloc[0] == ("stbc" if algo == "stbc" else f"stbc+{par}")

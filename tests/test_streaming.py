@@ -37,7 +37,7 @@ class TestStreamGraph:
         assert g.n_edges == 3
         g.delete(1, 0, 2)
         assert g.n_edges == 2
-        assert g.to_pdf().equals(edges_pdf([(0, 0, 1), (0, 1, 3)]))
+        assert g.adj == {0: [(1, 1), (3, 3)], 1: [(1, 0)], 3: [(3, 0)]}
 
     def test_delete_missing_raises(self):
         """An absent edge raises and leaves ``adj`` as it was, also when
@@ -181,6 +181,16 @@ def test_unsorted_stream_rejected():
     pdf = _stream(50, seed=6).iloc[::-1].reset_index(drop=True)
     with pytest.raises(ValueError):
         sliding_window_stbc(pdf, window=20, stride=5, delta=DELTA)
+
+
+@pytest.mark.parametrize("window,stride", [(0, 1), (5, 0)])
+@pytest.mark.parametrize("algo", ["stbc", "stbc_plus"])
+def test_window_and_stride_must_be_positive(algo, window, stride):
+    """Rejected up front: a zero window would delete edges it never
+    inserted, and a zero stride would never advance the stream."""
+    run = sliding_window_stbc if algo == "stbc" else sliding_window_stbc_plus
+    with pytest.raises(ValueError, match="window and stride"):
+        run(_stream(50, seed=6), window=window, stride=stride, delta=DELTA)
 
 
 def test_stbc_plus_spark_parallel_agrees(spark):

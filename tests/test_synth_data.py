@@ -4,7 +4,7 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
-from repro.synth_data import temporal_bipartite, temporal_bipartite_pdf
+from repro.synth_data import temporal_bipartite_pdf
 
 
 def _gen(**kw):
@@ -68,12 +68,4 @@ def test_follower_edges_create_temporal_locality():
     low = close_pairs(_gen(follow_frac=0.0, gap_days=0.5, n_edges=800), delta)
     high = close_pairs(_gen(follow_frac=0.6, gap_days=0.5, n_edges=800), delta)
     assert high > low
-
-
-def test_spark_wrapper_roundtrip(spark):
-    sdf = temporal_bipartite(
-        spark, n_upper=20, n_lower=20, n_edges=300, span_days=30.0, seed=1
-    )
-    assert sdf.columns == ["u", "v", "t"]
-    assert sdf.count() == 300
 
