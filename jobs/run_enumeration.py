@@ -4,7 +4,8 @@
         [--delta-days 40] [--scale S]
 
 As in the paper's protocol, instances are enumerated but not written
-anywhere; we count them per type to force full materialization.
+anywhere; we count them per type to force full materialization. Like
+``run_counting``, the job returns one row per type, zero counts included.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from pyspark.sql import functions as F
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import ENUM_CHOICES, make_session, print_table, resolve_enum_algo  # noqa: E402
 
-from repro.core.schema import days  # noqa: E402
+from repro.core.schema import N_TYPES, days, type_counts  # noqa: E402
 from repro.datasets import DATASETS  # noqa: E402
 
 
@@ -38,8 +39,9 @@ def run(
     t0 = time.perf_counter()
     inst = fn(spark, sdf, days(delta_days))
     per_type = (
-        inst.groupBy("btype").agg(F.count("*").alias("instances"))
-        .orderBy("btype").toPandas()
+        type_counts(inst, [F.count_if(F.col("btype") == i) for i in range(N_TYPES)])
+        .withColumnRenamed("cnt", "instances")
+        .toPandas()
     )
     elapsed = time.perf_counter() - t0
     per_type["dataset"] = dataset

@@ -17,7 +17,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import make_session, print_table, resolve_count_algo, timed  # noqa: E402
+from _common import ALGO_CHOICES, make_session, print_table, resolve_count_algo, timed  # noqa: E402
 
 from repro.core.schema import counts_to_dict, days  # noqa: E402
 from repro.datasets import DATASETS, PAPER_TABLE4  # noqa: E402
@@ -54,8 +54,7 @@ def main() -> None:
     ap.add_argument("--delta-days", type=float, default=40.0)
     ap.add_argument("--scale", type=float, default=None)
     ap.add_argument("--datasets", type=str, default=None)
-    ap.add_argument("--algo", choices=("tbc", "tbc-sql", "tbc+", "tbc++"),
-                    default="tbc++")
+    ap.add_argument("--algo", choices=ALGO_CHOICES, default="tbc++")
     args = ap.parse_args()
     names = args.datasets.split(",") if args.datasets else None
     spark = make_session("table4")

@@ -18,39 +18,48 @@ from pyspark.sql import functions as F
 
 from repro.core.brute import sql_counts, sql_instances
 from repro.core.classify import classify_sql
-from repro.core.schema import complete_counts
+from repro.core.schema import N_TYPES, type_counts
 from repro.core.wedges import wedges
 
 
 def _paired_wedges(edges: DataFrame, delta: int) -> DataFrame:
-    """Wedge pairs passing IsTB, with canonical butterfly times attached.
+    """Wedge pairs passing IsTB, as canonical butterflies in gid space.
 
-    For start-vertex layer U: wedge i runs (s,m_i) @ t1 then (m_i,e) @ t2
-    with s,e the U pair and m_i the L pair; for layer L the roles flip.
-    Either way the canonical times are:
+    Each wedge is first normalized to its end pair ``x < y``, with ``tx``
+    and ``ty`` the times of its x–m and y–m edges; the join then pairs
+    wedges on (x, y) with middles ``m1 < m2``. Both pairs are thus
+    ordered, and with ``tXY`` the time of edge (uX, vY):
 
-        t11 = w1.t1
-        t12 = layer==U ? w2.t1 : w1.t2
-        t21 = layer==U ? w1.t2 : w2.t1
-        t22 = w2.t2
+        U start: u1, u2, v1, v2 = x, y, m1, m2;  t11, t12, t21, t22 = tx1, tx2, ty1, ty2
+        L start: u1, u2, v1, v2 = m1, m2, x, y;  t11, t12, t21, t22 = tx1, ty1, tx2, ty2
     """
-    w = wedges(edges)
+    x_first = F.col("s") < F.col("e")
+    w = wedges(edges).select(
+        F.least("s", "e").alias("x"),
+        F.greatest("s", "e").alias("y"),
+        "layer",
+        "m",
+        F.when(x_first, F.col("t1")).otherwise(F.col("t2")).alias("tx"),
+        F.when(x_first, F.col("t2")).otherwise(F.col("t1")).alias("ty"),
+    )
     w1 = w.select(
-        "s", "e", "layer",
-        F.col("m").alias("m1"), F.col("t1").alias("a1"), F.col("t2").alias("b1"),
+        "x", "y", "layer",
+        F.col("m").alias("m1"), F.col("tx").alias("tx1"), F.col("ty").alias("ty1"),
     )
     w2 = w.select(
-        "s", "e",
-        F.col("m").alias("m2"), F.col("t1").alias("a2"), F.col("t2").alias("b2"),
+        "x", "y",
+        F.col("m").alias("m2"), F.col("tx").alias("tx2"), F.col("ty").alias("ty2"),
     )
     is_u = F.col("layer") == 0
-    pairs = (
-        w1.join(w2, ["s", "e"])
-        .where(F.col("m1") < F.col("m2"))
-        .withColumn("t11", F.col("a1"))
-        .withColumn("t12", F.when(is_u, F.col("a2")).otherwise(F.col("b1")))
-        .withColumn("t21", F.when(is_u, F.col("b1")).otherwise(F.col("a2")))
-        .withColumn("t22", F.col("b2"))
+    pairs = w1.join(w2, ["x", "y"]).where(F.col("m1") < F.col("m2")).select(
+        F.when(is_u, F.col("x")).otherwise(F.col("m1")).alias("u1"),
+        F.when(is_u, F.col("y")).otherwise(F.col("m2")).alias("u2"),
+        F.when(is_u, F.col("m1")).otherwise(F.col("x")).alias("v1"),
+        F.when(is_u, F.col("m2")).otherwise(F.col("y")).alias("v2"),
+        F.col("tx1").alias("t11"),
+        F.when(is_u, F.col("tx2")).otherwise(F.col("ty1")).alias("t12"),
+        F.when(is_u, F.col("ty1")).otherwise(F.col("tx2")).alias("t21"),
+        F.col("ty2").alias("t22"),
     )
     ts = [F.col(c) for c in ("t11", "t12", "t21", "t22")]
     distinct = (
@@ -63,49 +72,23 @@ def _paired_wedges(edges: DataFrame, delta: int) -> DataFrame:
 
 def tbc(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
     """Baseline temporal butterfly counting (Algorithm 1) → (btype, cnt)."""
-    typed = _paired_wedges(edges, delta).withColumn(
-        "btype", F.expr(classify_sql("t11", "t12", "t21", "t22")).cast("long")
+    btype = F.expr(classify_sql("t11", "t12", "t21", "t22"))
+    return type_counts(
+        _paired_wedges(edges, delta), [F.count_if(btype == i) for i in range(N_TYPES)]
     )
-    return complete_counts(spark, typed.groupBy("btype").agg(F.count("*").alias("cnt")))
 
 
 def tbe(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
     """Baseline enumeration (TBE): canonical instance rows.
 
-    Canonicalization maps gid-space wedge endpoints back to layer-local
-    ids with ``u1 < u2``, ``v1 < v2`` and reorders the four times to
-    ``tXY = t(uX, vY)``.
+    The wedge pairs are already canonical in gid space; ``gid >> 1`` is
+    the layer-local id, exact for every long (a double division rounds
+    ids above 2**53).
     """
-    pairs = _paired_wedges(edges, delta)
-    is_u = F.col("layer") == 0
-    # gids of the U pair and the L pair; gid >> 1 is the layer-local id,
-    # exact for every long (a double division rounds ids above 2**53)
-    ua = F.when(is_u, F.col("s")).otherwise(F.col("m1"))
-    ub = F.when(is_u, F.col("e")).otherwise(F.col("m2"))
-    va = F.when(is_u, F.col("m1")).otherwise(F.col("s"))
-    vb = F.when(is_u, F.col("m2")).otherwise(F.col("e"))
-    inst = pairs.select(
-        F.shiftright(ua, 1).alias("ua"),
-        F.shiftright(ub, 1).alias("ub"),
-        F.shiftright(va, 1).alias("va"),
-        F.shiftright(vb, 1).alias("vb"),
+    return _paired_wedges(edges, delta).select(
+        *[F.shiftright(c, 1).alias(c) for c in ("u1", "u2", "v1", "v2")],
         "t11", "t12", "t21", "t22",
         F.expr(classify_sql("t11", "t12", "t21", "t22")).cast("long").alias("btype"),
-    )
-    # sort each layer pair; swapping a pair swaps the matching time rows/cols
-    u_sw = F.col("ua") > F.col("ub")
-    v_sw = F.col("va") > F.col("vb")
-    c11 = F.when(u_sw & v_sw, F.col("t22")).when(u_sw, F.col("t21")).when(v_sw, F.col("t12")).otherwise(F.col("t11"))
-    c12 = F.when(u_sw & v_sw, F.col("t21")).when(u_sw, F.col("t22")).when(v_sw, F.col("t11")).otherwise(F.col("t12"))
-    c21 = F.when(u_sw & v_sw, F.col("t12")).when(u_sw, F.col("t11")).when(v_sw, F.col("t22")).otherwise(F.col("t21"))
-    c22 = F.when(u_sw & v_sw, F.col("t11")).when(u_sw, F.col("t12")).when(v_sw, F.col("t21")).otherwise(F.col("t22"))
-    return inst.select(
-        F.least("ua", "ub").alias("u1"),
-        F.greatest("ua", "ub").alias("u2"),
-        F.least("va", "vb").alias("v1"),
-        F.greatest("va", "vb").alias("v2"),
-        c11.alias("t11"), c12.alias("t12"), c21.alias("t21"), c22.alias("t22"),
-        "btype",
     )
 
 

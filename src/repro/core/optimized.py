@@ -10,14 +10,17 @@ The (s, e) grouping is the distributed analog of the paper's
 per-start-vertex loop over the hashmap ``H[w]``: each group holds
 exactly the wedge sets one ``Combine()`` call consumes, so groups are
 independent and Spark parallelizes what the paper executes serially.
-The walker finds the group boundaries of each Arrow batch with numpy
-and skips groups with fewer than two distinct middle vertices, which
-cannot form a butterfly. Spark thus calls Python once per partition,
-and only the kernel runs once per group (the sort-based batching of
-ParButterfly, Shi & Shun, APOCS 2020).
+The walker (``viable_groups``) reads each partition's rows as one stream
+of Python tuples, finds the groups with ``itertools.groupby`` on (s, e),
+whichever Arrow batches a group spans, and skips groups with fewer than
+two distinct middle vertices, which cannot form a butterfly. Spark thus
+calls Python once per partition, and only the kernel runs once per
+group (the sort-based batching of ParButterfly, Shi & Shun, APOCS 2020).
 """
 from __future__ import annotations
 
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Callable, Iterator
 
 import numpy as np
@@ -26,60 +29,35 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
 
-from repro.core.schema import N_TYPES
+from repro.core.schema import N_TYPES, type_counts
 from repro.core.wedge_set import count_group_plus, count_group_pp
 from repro.core.wedges import wedges_pruned
 from repro.streaming.graph import StreamGraph
 
 _COUNT_COLS = [f"c{i}" for i in range(N_TYPES)]
 _KERNEL_OUT_SCHEMA = ", ".join(f"{c} long" for c in _COUNT_COLS)
+_GROUPED_COLS = ["s", "e", "m", "layer", "lo", "hi", "fwd"]
 _GROUPED_SCHEMA = "s long, e long, m long, layer long, lo long, hi long, fwd boolean"
-
-
-def _whole_groups(batches: Iterator[pd.DataFrame]) -> Iterator[tuple[pd.DataFrame, np.ndarray]]:
-    """One partition's (s, e)-sorted batches as frames of whole groups,
-    each with the row offsets where its groups start.
-
-    A group may straddle batches, so the rows from a batch's last group
-    start on wait for the batch that closes that group. A batch that lies
-    wholly inside the waiting group is only queued, so no row is copied
-    more than twice.
-    """
-    waiting: list[pd.DataFrame] = []
-    key = None
-    for pdf in batches:
-        s, e = pdf["s"].to_numpy(), pdf["e"].to_numpy()
-        if not len(s):
-            continue
-        if (s[0], e[0]) == (s[-1], e[-1]) == key:
-            waiting.append(pdf)
-            continue
-        frame = pd.concat([*waiting, pdf], ignore_index=True) if waiting else pdf
-        s, e = frame["s"].to_numpy(), frame["e"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, (s[1:] != s[:-1]) | (e[1:] != e[:-1])])
-        if len(starts) > 1:
-            yield frame.iloc[: starts[-1]], starts[:-1]
-        waiting, key = [frame.iloc[starts[-1]:]], (s[-1], e[-1])
-    if waiting:
-        yield pd.concat(waiting, ignore_index=True), np.zeros(1, dtype=np.int64)
-
-
-def _viable(frame: pd.DataFrame, starts: np.ndarray) -> np.ndarray:
-    """Per group: does it hold at least two distinct middles?"""
-    m = frame["m"].to_numpy()
-    return np.minimum.reduceat(m, starts) < np.maximum.reduceat(m, starts)
 
 
 def viable_groups(batches: Iterator[pd.DataFrame]) -> Iterator[tuple[int, int, list[tuple]]]:
     """``(s, e, wedges)`` per viable group of one partition, the wedges
-    as the kernels' ``(m, lo, hi, fwd)`` tuples of Python scalars."""
-    for frame, starts in _whole_groups(batches):
-        keep = _viable(frame, starts)
-        stops = np.r_[starts[1:], len(frame)][keep].tolist()
-        s, e = frame["s"].tolist(), frame["e"].tolist()
-        cols = [frame[c].tolist() for c in ("m", "lo", "hi", "fwd")]
-        for a, b in zip(starts[keep].tolist(), stops):
-            yield s[a], e[a], list(zip(*(c[a:b] for c in cols)))
+    as the kernels' ``(m, lo, hi, fwd)`` tuples of Python scalars.
+
+    The batches arrive sorted by (s, e), so each group is one run of the
+    partition's row stream, however many batches it spans. A group is
+    viable when it holds at least two distinct middles.
+    """
+    # each row as ((s, e), (m, lo, hi, fwd)), batch after batch
+    rows = chain.from_iterable(
+        zip(zip(pdf["s"].tolist(), pdf["e"].tolist()),
+            zip(*(pdf[c].tolist() for c in ("m", "lo", "hi", "fwd"))))
+        for pdf in batches
+    )
+    for (s, e), run in groupby(rows, key=itemgetter(0)):
+        ws = [w for _key, w in run]
+        if min(w[0] for w in ws) < max(w[0] for w in ws):
+            yield s, e, ws
 
 
 def walk_groups(
@@ -99,9 +77,13 @@ def grouped_wedges(edges: DataFrame, delta: int) -> DataFrame:
     """Pruned wedges restricted to (s, e) groups that can host butterflies."""
 
     def viable_rows(batches):
-        for frame, starts in _whole_groups(batches):
-            sizes = np.diff(np.r_[starts, len(frame)])
-            yield frame[np.repeat(_viable(frame, starts), sizes)]
+        rows = [
+            (s, e, m, s % 2, lo, hi, fwd)
+            for s, e, ws in viable_groups(batches)
+            for m, lo, hi, fwd in ws
+        ]
+        if rows:
+            yield pd.DataFrame(rows, columns=_GROUPED_COLS)
 
     return walk_groups(edges, delta, viable_rows, _GROUPED_SCHEMA)
 
@@ -114,11 +96,9 @@ def _counts_dataflow(edges: DataFrame, delta: int, kernel: Callable) -> DataFram
         yield pd.DataFrame([counts], columns=_COUNT_COLS)
 
     per_partition = walk_groups(edges, delta, count, _KERNEL_OUT_SCHEMA)
-    summed = per_partition.agg(
-        *[F.coalesce(F.sum(c), F.lit(0)).alias(c) for c in _COUNT_COLS]
+    return type_counts(
+        per_partition, [F.coalesce(F.sum(c), F.lit(0)) for c in _COUNT_COLS]
     )
-    stack = ", ".join(f"{i}L, {c}" for i, c in enumerate(_COUNT_COLS))
-    return summed.selectExpr(f"stack({N_TYPES}, {stack}) as (btype, cnt)")
 
 
 def tbc_plus(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:

@@ -15,7 +15,6 @@ for lower vertices, so ``gid % 2`` is the layer (0 = U, 1 = L).
 from __future__ import annotations
 
 from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
 #: number of non-isomorphic temporal butterfly types (Figure 1)
@@ -69,18 +68,17 @@ def days(n: float) -> int:
     return int(n * MS_PER_DAY)
 
 
-def complete_counts(spark, counts_df: DataFrame) -> DataFrame:
-    """Left-join a (btype, cnt) frame onto the full 0..5 type domain.
+def type_counts(df: DataFrame, per_type: list[Column]) -> DataFrame:
+    """The six (btype, cnt) rows of a counting API, from one aggregate of
+    ``df`` per type (``per_type[i]`` counts type ``i``).
 
-    Aggregations naturally drop types with zero instances; every public
-    counting API returns exactly six rows so results are comparable.
+    A global aggregate yields one row even over empty input, so every
+    type gets its row, zero counts included, in type order.
     """
-    types = spark.range(N_TYPES).select(F.col("id").cast("long").alias("btype"))
-    return (
-        types.join(counts_df, "btype", "left")
-        .select("btype", F.coalesce(F.col("cnt"), F.lit(0)).cast("long").alias("cnt"))
-        .orderBy("btype")
-    )
+    cols = [f"c{i}" for i in range(N_TYPES)]
+    row = df.agg(*[agg.alias(c) for agg, c in zip(per_type, cols)])
+    stack = ", ".join(f"{i}L, {c}" for i, c in enumerate(cols))
+    return row.selectExpr(f"stack({N_TYPES}, {stack}) as (btype, cnt)")
 
 
 def counts_to_dict(counts_df: DataFrame) -> dict[int, int]:

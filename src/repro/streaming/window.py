@@ -8,7 +8,7 @@ from-scratch count: every butterfly is attributed to its latest edge).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,46 +30,43 @@ class StepResult:
     end: int  # one past the last window edge
 
 
-@dataclass
-class _Driver:
-    delta: int
-    insert_batch: Callable
-    delete_batch: Callable
-    graph: StreamGraph = field(default_factory=StreamGraph)
-    counts: np.ndarray = field(
-        default_factory=lambda: np.zeros(N_TYPES, dtype=np.int64)
-    )
-
-    def run(self, edges: pd.DataFrame, window: int, stride: int) -> list[StepResult]:
-        if window < 1 or stride < 1:
-            raise ValueError(f"window and stride must be >= 1, got {window}, {stride}")
-        rows = [tuple(map(int, r)) for r in edges[["u", "v", "t"]].itertuples(index=False)]
-        if sorted(r[2] for r in rows) != [r[2] for r in rows]:
-            raise ValueError("stream edges must arrive in chronological order")
-        out: list[StepResult] = []
-        first = rows[:window]
-        self.counts = self.counts + self.insert_batch(self.graph, first)
-        out.append(StepResult(self.counts.copy(), 0, min(window, len(rows))))
-        pos = len(first)
-        while pos < len(rows):
-            incoming = rows[pos : pos + stride]
-            outgoing = rows[pos - window : pos - window + len(incoming)]
-            self.counts = self.counts - self.delete_batch(self.graph, outgoing)
-            self.counts = self.counts + self.insert_batch(self.graph, incoming)
-            pos += len(incoming)
-            out.append(StepResult(self.counts.copy(), pos - window, pos))
-        return out
+def _slide(
+    edges: pd.DataFrame, window: int, stride: int, insert: Callable, delete: Callable
+) -> list[StepResult]:
+    """Counts after each slide; ``insert(graph, batch)`` and
+    ``delete(graph, batch)`` apply a batch of edge rows to the window's
+    graph and return the count change it causes."""
+    if window < 1 or stride < 1:
+        raise ValueError(f"window and stride must be >= 1, got {window}, {stride}")
+    rows = [tuple(map(int, r)) for r in edges[["u", "v", "t"]].itertuples(index=False)]
+    if sorted(r[2] for r in rows) != [r[2] for r in rows]:
+        raise ValueError("stream edges must arrive in chronological order")
+    graph = StreamGraph()
+    first = rows[:window]
+    counts = np.zeros(N_TYPES, dtype=np.int64) + insert(graph, first)
+    out = [StepResult(counts, 0, len(first))]
+    pos = len(first)
+    while pos < len(rows):
+        incoming = rows[pos : pos + stride]
+        outgoing = rows[pos - window : pos - window + len(incoming)]
+        counts = counts - delete(graph, outgoing)
+        counts = counts + insert(graph, incoming)
+        pos += len(incoming)
+        out.append(StepResult(counts, pos - window, pos))
+    return out
 
 
 def sliding_window_stbc(
     edges: pd.DataFrame, *, window: int, stride: int, delta: int
 ) -> list[StepResult]:
     """STBC over the sliding window: strictly sequential edge updates."""
-    return _Driver(
-        delta,
-        insert_batch=lambda g, b: stbc_insert_batch(g, b, delta),
-        delete_batch=lambda g, b: stbc_delete_batch(g, b, delta),
-    ).run(edges, window, stride)
+    return _slide(
+        edges,
+        window,
+        stride,
+        insert=lambda g, b: stbc_insert_batch(g, b, delta),
+        delete=lambda g, b: stbc_delete_batch(g, b, delta),
+    )
 
 
 def sliding_window_stbc_plus(
@@ -100,6 +97,4 @@ def sliding_window_stbc_plus(
             g.delete(u, v, t)
         return dec
 
-    return _Driver(delta, insert_batch=insert, delete_batch=delete).run(
-        edges, window, stride
-    )
+    return _slide(edges, window, stride, insert, delete)

@@ -68,6 +68,16 @@ def test_enumeration_total_matches_counting(spark):
     assert (enu["edges"] == cnt["edges"].iloc[0]).all()
 
 
+def test_enumeration_job_without_instances(spark):
+    """No instance at a tiny δ: still one zero row per type, carrying the
+    dataset, algorithm, edge count and time."""
+    out = run_enumeration.run(spark, "WN", "tbe+", delta_days=0.0001, scale=TEST_SCALE)
+    assert list(out["btype"]) == list(range(6))
+    assert (out["instances"] == 0).all()
+    assert (out["dataset"] == "WN").all() and (out["algo"] == "tbe+").all()
+    assert (out["edges"] > 0).all() and (out["seconds"] >= 0).all()
+
+
 @pytest.mark.parametrize("algo,par", [("stbc", 1), ("stbc+", 1), ("stbc+", 2)])
 def test_streaming_job(spark, algo, par):
     out = run_streaming.run(

@@ -5,12 +5,19 @@ import re
 from contextlib import contextmanager
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.baseline import tbc
 from repro.core.brute import brute_counts, brute_instances, sql_counts
 from repro.core.enumerate_ import tbe_plus
-from repro.core.optimized import count_local, grouped_wedges, tbc_plus, tbc_pp
+from repro.core.optimized import (
+    count_local,
+    grouped_wedges,
+    tbc_plus,
+    tbc_pp,
+    viable_groups,
+)
 from repro.core.schema import EDGE_SCHEMA, counts_to_dict
 from repro.core.wedges import wedges_pruned
 from repro.oracle import assert_equivalent
@@ -216,6 +223,34 @@ def test_walker_plan_has_one_exchange_above_the_wedge_join(spark):
         assert len(hashed) == 1
         assert re.search(r"hashpartitioning\(s#\d+L, e#\d+L, \d+\)", hashed[0])
         assert all("SinglePartition" in x for x in exchanges if x not in hashed)
+
+
+def _batch(*rows):
+    """One Arrow-like batch of pruned wedges ``(s, e, m, lo, hi, fwd)``."""
+    pdf = pd.DataFrame(list(rows), columns=["s", "e", "m", "lo", "hi", "fwd"])
+    pdf = pdf.astype({c: "int64" for c in ("s", "e", "m", "lo", "hi")} | {"fwd": bool})
+    pdf.insert(3, "layer", pdf["s"] % 2)
+    return pdf
+
+
+def test_viable_groups_walks_groups_across_batches():
+    """No Spark: an empty batch in mid-partition, a group over three
+    batches, one-row batches, and a one-middle group between two viable
+    groups, which the walker skips."""
+    batches = [
+        _batch((0, 2, 1, 10, 11, True), (0, 2, 3, 12, 14, False)),
+        _batch(),
+        _batch((0, 2, 5, 13, 15, True)),
+        _batch((0, 2, 1, 16, 17, False), (0, 4, 1, 10, 12, True)),
+        _batch((0, 4, 1, 13, 18, False)),
+        _batch((1, 3, 0, 20, 21, True), (1, 3, 2, 22, 23, True)),
+        _batch(),
+    ]
+    assert list(viable_groups(iter(batches))) == [
+        (0, 2, [(1, 10, 11, True), (3, 12, 14, False), (5, 13, 15, True), (1, 16, 17, False)]),
+        (1, 3, [(0, 20, 21, True), (2, 22, 23, True)]),
+    ]
+    assert list(viable_groups(iter([_batch()]))) == []
 
 
 @pytest.mark.parametrize("seed", range(3))
