@@ -9,6 +9,8 @@ priority   directed half-edges; vertex priority (Definition 4) as a rank
 wedges     temporal wedge enumeration (Definition 1) with priority filters
 baseline   TBC / TBE — the §3 baselines as pure-Catalyst dataflows
 wedge_set  wedge set + wedge priority combine kernels (§4) — pure python
-optimized  TBC+ / TBC++ — §4 counting, one (s, e) group walker per partition
-enumerate_ TBE+ — §4.3 enumeration on the same group walker
+optimized  TBC+ / TBC++ — §4 counting, a wedge walk per start on Spark tasks
+enumerate_ TBE+ — §4.3 enumeration on a Catalyst (s, e) group walker
+
+Oracles that only tests run are in ``tests/reference.py``.
 """

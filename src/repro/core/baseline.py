@@ -16,7 +16,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.brute import sql_counts, sql_instances
+from repro.core.brute import sql_counts
 from repro.core.classify import classify_sql
 from repro.core.schema import N_TYPES, type_counts
 from repro.core.wedges import wedges
@@ -97,8 +97,3 @@ def tbc_sql(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
     edges.createOrReplaceTempView("edges_tbc_sql")
     return spark.sql(sql_counts(delta, edges="edges_tbc_sql"))
 
-
-def tbe_sql(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
-    """The 4-way-join SQL enumeration executed by Catalyst → instances."""
-    edges.createOrReplaceTempView("edges_tbe_sql")
-    return spark.sql(sql_instances(delta, edges="edges_tbe_sql"))

@@ -1,14 +1,13 @@
 """The 6-type temporal butterfly algebra (Figure 1 / §4.1 of the paper).
 
-Two independent formulations are provided and cross-tested:
-
-1. ``classify_times`` — anchor the earliest of the four edges and read
-   the type from the order in which the U-sharing, L-sharing, and
-   opposite edges follow (the table in DESIGN.md §1).
-2. ``wedge_pair_type`` — the paper's wedge-set algebra: normalize both
-   wedges to forward intervals, compare coverage pattern
-   {non-overlap, intersect, cover} and direction pattern {same,
-   different}, then apply the xor layer-conversion rule.
+``classify_times`` anchors the earliest of the four edges and reads the
+type from the order in which the U-sharing, L-sharing, and opposite
+edges follow (the table in DESIGN.md §1); ``classify_sql`` is the same
+rule as one SQL expression. The paper's wedge-set formulation of the
+algebra (coverage × direction pattern, then the xor layer-conversion
+rule) is what the §4 kernels count in bulk; its one-pair form lives with
+the tests (``tests/reference.py``), which cross-test it against
+``classify_times`` on every ordering.
 
 Both accept only butterflies with 4 pairwise-distinct timestamps; the
 caller filters ties (the paper assumes tie-broken timestamps).
@@ -73,36 +72,3 @@ def classify_sql(t11: str, t12: str, t21: str, t22: str) -> str:
         f"ELSE (CASE WHEN {sl} < {su} THEN 4 ELSE 5 END) END)"
     )
 
-
-# --- the paper's wedge-set formulation -------------------------------------
-
-#: coverage patterns between two forward-normalized wedge intervals
-NON_OVERLAP, INTERSECT, COVER = 0, 1, 2
-
-
-def wedge_pair_type(
-    lo_i: int, hi_i: int, fwd_i: bool, lo_j: int, hi_j: int, fwd_j: bool, layer: int
-) -> int | None:
-    """Type from two wedges sharing start/end vertices (paper §4.1).
-
-    Each wedge is forward-normalized: ``lo < hi`` with ``fwd`` recording
-    whether the original wedge ran start->middle->end in increasing time
-    (subset A) or not (subset D). ``layer`` is the start-vertex layer
-    (0 = U, 1 = L). Returns None when the four timestamps are not
-    pairwise distinct (no temporal butterfly). The caller checks the
-    duration constraint.
-    """
-    if lo_i > lo_j or (lo_i == lo_j and hi_i > hi_j):
-        lo_i, hi_i, fwd_i, lo_j, hi_j, fwd_j = lo_j, hi_j, fwd_j, lo_i, hi_i, fwd_i
-    # after the swap lo_i <= lo_j < hi_j, so only three collisions remain
-    if lo_i == lo_j or hi_i == lo_j or hi_i == hi_j:
-        return None
-    if hi_i < lo_j:
-        pattern = NON_OVERLAP
-    elif hi_i < hi_j:
-        pattern = INTERSECT
-    else:
-        pattern = COVER
-    same_dir = fwd_i == fwd_j
-    base = pattern if same_dir else pattern + 3
-    return base ^ layer

@@ -1,9 +1,9 @@
 """TBE⁺ (§4.3) — optimized enumeration on Spark.
 
-Same group walker as TBC⁺/TBC⁺⁺ (one (s, e) exchange, sorted
-partitions, ``mapInPandas``), but the per-group kernel is the
-Algorithm-5 range-traversal SetCross which emits canonical butterfly
-instances instead of counters; each partition yields its instance rows.
+The Catalyst group walker of `repro.core.optimized` (one (s, e)
+exchange, sorted partitions, ``mapInPandas``) with the Algorithm-5
+range-traversal SetCross as the per-group kernel, which emits canonical
+butterfly instances; each partition yields its instance rows.
 """
 from __future__ import annotations
 

@@ -1,41 +1,37 @@
-"""TBC⁺ / TBC⁺⁺ — the §4 optimized counting framework on Spark.
+"""TBC⁺ / TBC⁺⁺ — the §4 optimized counters — and TBE⁺'s group walker.
 
-Dataflow: Lemma-1-pruned wedge enumeration (Catalyst joins) → one hash
-exchange on (start-vertex, end-vertex), sorted by (s, e) within each
-partition → one Python group walker per partition (``mapInPandas``)
-that runs the combine kernel (`repro.core.wedge_set`) on each (s, e)
-group → global per-type sum.
+Counting is the paper's Alg. 2, a loop over start vertices that reads
+each start's 2-hop wedges from an in-memory graph (``walk``) and combines
+each (s, e) group with a `repro.core.wedge_set` kernel. ``count_local``
+walks every start in one process; ``tbc_plus`` and ``tbc_pp`` collect
+the edges, broadcast one ``StreamGraph`` and walk the starts on one task
+per core (ParButterfly's per-vertex parallelism, Shi & Shun, APOCS 2020).
 
-The (s, e) grouping is the distributed analog of the paper's
-per-start-vertex loop over the hashmap ``H[w]``: each group holds
-exactly the wedge sets one ``Combine()`` call consumes, so groups are
-independent and Spark parallelizes what the paper executes serially.
-The walker (``viable_groups``) reads each partition's rows as one stream
-of Python tuples, finds the groups with ``itertools.groupby`` on (s, e),
+TBE⁺ returns a lazy instance frame, which a broadcast could not outlive,
+so it keeps a Catalyst dataflow: Lemma-1-pruned wedges → one exchange on
+(s, e), sorted within partitions → one ``mapInPandas`` walker per
+partition. ``viable_groups`` reads each partition's rows as one stream
+of tuples, finds the groups with ``itertools.groupby`` on (s, e),
 whichever Arrow batches a group spans, and skips groups with fewer than
-two distinct middle vertices, which cannot form a butterfly. Spark thus
-calls Python once per partition, and only the kernel runs once per
-group (the sort-based batching of ParButterfly, Shi & Shun, APOCS 2020).
+two distinct middles, which cannot form a butterfly.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
 
-from repro.core.schema import N_TYPES, type_counts
+from repro.core.schema import N_TYPES, counts_frame
 from repro.core.wedge_set import count_group_plus, count_group_pp
 from repro.core.wedges import wedges_pruned
-from repro.streaming.graph import StreamGraph
+from repro.streaming.graph import StreamGraph, sum_on_tasks
 
-_COUNT_COLS = [f"c{i}" for i in range(N_TYPES)]
-_KERNEL_OUT_SCHEMA = ", ".join(f"{c} long" for c in _COUNT_COLS)
 _GROUPED_COLS = ["s", "e", "m", "layer", "lo", "hi", "fwd"]
 _GROUPED_SCHEMA = "s long, e long, m long, layer long, lo long, hi long, fwd boolean"
 
@@ -88,57 +84,88 @@ def grouped_wedges(edges: DataFrame, delta: int) -> DataFrame:
     return walk_groups(edges, delta, viable_rows, _GROUPED_SCHEMA)
 
 
-def _counts_dataflow(edges: DataFrame, delta: int, kernel: Callable) -> DataFrame:
-    def count(batches):
-        counts = np.zeros(N_TYPES, dtype=np.int64)
-        for s, _e, ws in viable_groups(batches):
-            counts += kernel(ws, delta, s % 2)
-        yield pd.DataFrame([counts], columns=_COUNT_COLS)
+def walk(
+    g: StreamGraph, starts: Iterable[int], delta: int
+) -> Iterator[tuple[int, int, list[tuple]]]:
+    """``(s, e, wedges)`` per (s, e) group of each start ``s``, the wedges
+    as the kernels' ``(m, lo, hi, fwd)`` tuples.
 
-    per_partition = walk_groups(edges, delta, count, _KERNEL_OUT_SCHEMA)
-    return type_counts(
-        per_partition, [F.coalesce(F.sum(c), F.lit(0)) for c in _COUNT_COLS]
+    A wedge ``(s, m, t1), (m, e, t2)`` is kept when ``s`` out-ranks both
+    ``m`` and ``e`` in Definition 4's ``(degree, gid)`` order and
+    ``t1 ≠ t2``. Lemma 1 bounds ``t2`` to ``[t1 − δ, t1 + δ]``, a binary
+    search of ``m``'s time-sorted edges.
+    """
+    pr = lambda x: (len(g.adj[x]), x)
+    for s in starts:
+        ps = pr(s)
+        groups: dict[int, list[tuple]] = defaultdict(list)
+        for t1, m in g.adj[s]:
+            if ps <= pr(m):
+                continue
+            for t2, e in g.neighbors_in(m, t1 - delta, t1 + delta):
+                if ps <= pr(e) or t1 == t2:
+                    continue
+                groups[e].append((m, min(t1, t2), max(t1, t2), t1 < t2))
+        for e, ws in groups.items():
+            yield s, e, ws
+
+
+def _count(
+    g: StreamGraph, starts: Iterable[int], delta: int, kernel: Callable
+) -> np.ndarray:
+    counts = np.zeros(N_TYPES, dtype=np.int64)
+    for s, _e, ws in walk(g, starts, delta):
+        counts += kernel(ws, delta, s % 2)
+    return counts
+
+
+def start_bins(g: StreamGraph, n: int) -> list[list[int]]:
+    """The start vertices in ``n`` bins, packed greedily longest first.
+    A start's work is estimated as Σ deg(m) over the middles its walk
+    expands, those it out-ranks; a start with none walks no wedge and
+    is left out."""
+    pr = lambda x: (len(g.adj[x]), x)
+    cost = {
+        s: sum(len(g.adj[m]) for _t, m in lst if pr(m) < pr(s))
+        for s, lst in g.adj.items()
+    }
+    bins: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for s in sorted(filter(cost.get, cost), key=cost.__getitem__, reverse=True):
+        i = loads.index(min(loads))
+        bins[i].append(s)
+        loads[i] += cost[s]
+    return bins
+
+
+def _count_on_tasks(
+    spark: SparkSession, edges: DataFrame, delta: int, kernel: Callable
+) -> DataFrame:
+    """One collect of the edges, then one task per start bin over the
+    broadcast graph; the summed counts come back as a JVM-side frame."""
+    g = StreamGraph.from_pdf(edges.select("u", "v", "t").toPandas())
+    bins = start_bins(g, spark.sparkContext.defaultParallelism)
+    counts = sum_on_tasks(
+        spark, g, bins, len(bins),
+        lambda snap, part: _count(snap, chain.from_iterable(part), delta, kernel),
     )
+    return counts_frame(spark, counts)
 
 
 def tbc_plus(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
     """TBC⁺ (Algorithms 2–4): HP-hashmap combine kernel → (btype, cnt)."""
-    return _counts_dataflow(edges, delta, count_group_plus)
+    return _count_on_tasks(spark, edges, delta, count_group_plus)
 
 
 def tbc_pp(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
     """TBC⁺⁺ (§4.4): twin order-statistics-tree kernel → (btype, cnt)."""
-    return _counts_dataflow(edges, delta, count_group_pp)
+    return _count_on_tasks(spark, edges, delta, count_group_pp)
 
 
 def count_local(edges_pdf: pd.DataFrame, delta: int) -> np.ndarray:
-    """Single-process TBC⁺⁺ over a pandas edge frame (no Spark).
-
-    It mirrors the Spark dataflow: priority-filtered pruned wedges,
-    grouped by (s, e), combined with the tree kernel. The edges sit in a
-    ``StreamGraph``, whose time-sorted lists make Lemma 1's δ bound on
-    the second wedge edge a binary search. The approximate
-    counters run it on their samples, and the benchmarks and tests use it
-    as the in-process reference.
-    """
-    from collections import defaultdict
-
-    g = StreamGraph.from_pdf(edges_pdf.sort_values("t", kind="stable"))
-    pr = lambda x: (len(g.adj[x]), x)
-    groups: dict[tuple[int, int], list[tuple]] = defaultdict(list)
-    for s, lst in g.adj.items():
-        ps = pr(s)
-        for t1, m in lst:
-            if ps <= pr(m):
-                continue
-            # Lemma 1: only edges of m within δ of t1 close a wedge
-            for t2, e in g.neighbors_in(m, t1 - delta, t1 + delta):
-                if ps <= pr(e) or t1 == t2:
-                    continue
-                groups[(s, e)].append(
-                    (m, min(t1, t2), max(t1, t2), t1 < t2)
-                )
-    counts = np.zeros(N_TYPES, dtype=np.int64)
-    for (s, e), ws in groups.items():
-        counts += count_group_pp(ws, delta, s % 2)
-    return counts
+    """Single-process TBC⁺⁺ over a pandas edge frame (no Spark): the walk
+    over every start, each group combined with the tree kernel. The
+    approximate counters run it on their samples, and the benchmarks and
+    tests use it as the in-process reference."""
+    g = StreamGraph.from_pdf(edges_pdf)
+    return _count(g, g.adj, delta, count_group_pp)

@@ -14,7 +14,7 @@ for lower vertices, so ``gid % 2`` is the layer (0 = U, 1 = L).
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql.types import LongType, StructField, StructType
 
 #: number of non-isomorphic temporal butterfly types (Figure 1)
@@ -79,6 +79,14 @@ def type_counts(df: DataFrame, per_type: list[Column]) -> DataFrame:
     row = df.agg(*[agg.alias(c) for agg, c in zip(per_type, cols)])
     stack = ", ".join(f"{i}L, {c}" for i, c in enumerate(cols))
     return row.selectExpr(f"stack({N_TYPES}, {stack}) as (btype, cnt)")
+
+
+def counts_frame(spark: SparkSession, counts) -> DataFrame:
+    """The six (btype, cnt) rows of per-type ``counts`` computed on the
+    driver, as a SQL ``VALUES`` relation: it lives in the JVM, so reading
+    it starts no Python task."""
+    rows = ", ".join(f"({i}L, {int(c)}L)" for i, c in enumerate(counts))
+    return spark.sql(f"SELECT * FROM VALUES {rows} AS counts(btype, cnt)")
 
 
 def counts_to_dict(counts_df: DataFrame) -> dict[int, int]:

@@ -17,8 +17,9 @@ already-processed wedges of the other side, held in one of two stores:
   and TS (keyed by t_s) as two ``SortedList``s; ``count_group_pp``
   (TBC⁺⁺) reads each class off three O(log n) rank queries.
 
-``count_group_quadratic`` is the reference: all cross-middle wedge
-pairs through ``wedge_pair_type``. Used by tests only.
+The tests check every kernel against a quadratic reference that
+classifies each cross-middle wedge pair on its own
+(``tests/reference.py``).
 
 Wedge priority (Definition 6): ``P_W(∠i) < P_W(∠j)`` iff
 ``∠i.t_s > ∠j.t_s``, ties broken by smaller ``t_a``; kernels process
@@ -38,7 +39,7 @@ from typing import Callable, Iterable
 import numpy as np
 from sortedcontainers import SortedList
 
-from repro.core.classify import classify_times, wedge_pair_type
+from repro.core.classify import classify_times
 from repro.core.schema import N_TYPES
 
 #: wedge tuple layout inside a group
@@ -70,30 +71,6 @@ def build_sets(wedges: Iterable[tuple]) -> list[tuple[list, list]]:
         d.sort(key=_PRIO_ORDER)
         sets.append((a, d))
     return sets
-
-
-# --------------------------------------------------------------------------
-# reference kernel
-# --------------------------------------------------------------------------
-
-
-def count_group_quadratic(wedges: list[tuple], delta: int, layer: int) -> np.ndarray:
-    """All cross-middle pairs, classified one by one. O(|W|^2) reference."""
-    counts = np.zeros(N_TYPES, dtype=np.int64)
-    ws = list(wedges)
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            wi, wj = ws[i], ws[j]
-            if wi[M] == wj[M]:
-                continue
-            if max(wi[HI], wj[HI]) - min(wi[LO], wj[LO]) > delta:
-                continue
-            bt = wedge_pair_type(
-                wi[LO], wi[HI], wi[FWD], wj[LO], wj[HI], wj[FWD], layer
-            )
-            if bt is not None:
-                counts[bt] += 1
-    return counts
 
 
 # --------------------------------------------------------------------------

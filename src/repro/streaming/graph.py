@@ -8,8 +8,11 @@ queue and process it in chronological order", which makes every
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from typing import Callable, Iterable
 
+import numpy as np
 import pandas as pd
+from pyspark.sql import SparkSession
 
 
 class StreamGraph:
@@ -22,6 +25,7 @@ class StreamGraph:
     @classmethod
     def from_pdf(cls, edges: pd.DataFrame) -> "StreamGraph":
         g = cls()
+        edges = edges.sort_values("t", kind="stable")  # so every insert appends
         for u, v, t in edges[["u", "v", "t"]].itertuples(index=False):
             g.insert(int(u), int(v), int(t))
         return g
@@ -56,3 +60,22 @@ class StreamGraph:
         i = bisect_left(lst, (lo, -1))
         j = bisect_right(lst, (hi, 1 << 62))
         return lst[i:j]
+
+
+def sum_on_tasks(
+    spark: SparkSession, g: StreamGraph, items: list, slices: int, fn: Callable
+) -> np.ndarray:
+    """``fn(g, part)`` on each of ``slices`` tasks over a broadcast ``g``,
+    summed: ``part`` iterates that task's share of ``items``, and ``fn``
+    returns per-type counts. The broadcast is destroyed before returning."""
+    sc = spark.sparkContext
+    bc = sc.broadcast(g)
+
+    def run(part: Iterable):
+        yield fn(bc.value, part)
+
+    try:
+        parts = sc.parallelize(items, slices).mapPartitions(run).collect()
+    finally:
+        bc.destroy()  # also unlinks the pickled copy in sc._temp_dir
+    return np.sum(parts, axis=0)

@@ -21,7 +21,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.schema import N_TYPES
-from repro.streaming.graph import StreamGraph
+from repro.streaming.graph import StreamGraph, sum_on_tasks
 from repro.streaming.stbc import edge_delta
 
 
@@ -58,15 +58,7 @@ def stbc_plus_batch(
         return np.zeros(N_TYPES, dtype=np.int64)
     if spark is None or parallelism <= 1:
         return _batch_delta_local(g, batch, delta, mode)
-
-    sc = spark.sparkContext
-    bc = sc.broadcast(g)
-
-    def run(rows: Iterable[tuple]):
-        yield _batch_delta_local(bc.value, rows, delta, mode)
-
-    try:
-        parts = sc.parallelize(batch, parallelism).mapPartitions(run).collect()
-    finally:
-        bc.destroy()  # also unlinks the window's pickled copy in sc._temp_dir
-    return np.sum(parts, axis=0)
+    return sum_on_tasks(
+        spark, g, batch, parallelism,
+        lambda snap, rows: _batch_delta_local(snap, rows, delta, mode),
+    )

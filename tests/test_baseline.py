@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.baseline import tbc, tbc_sql, tbe, tbe_sql
+from repro.core.baseline import tbc, tbc_sql, tbe
 from repro.core.brute import brute_counts, brute_instances, sql_counts
 from repro.core.schema import counts_to_dict
 from repro.oracle import assert_equivalent
+from tests.reference import tbe_sql
 from tests.util import canon_instances, edges_pdf, random_bipartite_pdf
 
 

@@ -8,11 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.classify import (
-    classify_sql,
-    classify_times,
-    wedge_pair_type,
-)
+from repro.core.classify import classify_sql, classify_times
+from tests.reference import wedge_pair_type
 
 ALL_PERMS = list(itertools.permutations([10, 20, 30, 40]))
 

@@ -1,12 +1,17 @@
 """TBC⁺ / TBC⁺⁺ / TBE⁺ on Spark vs oracle, baseline, and brute force."""
 from __future__ import annotations
 
+import os
 import re
+from collections import Counter
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baseline import tbc
 from repro.core.brute import brute_counts, brute_instances, sql_counts
@@ -14,12 +19,16 @@ from repro.core.enumerate_ import tbe_plus
 from repro.core.optimized import (
     count_local,
     grouped_wedges,
+    start_bins,
     tbc_plus,
     tbc_pp,
     viable_groups,
+    walk,
 )
 from repro.core.schema import EDGE_SCHEMA, counts_to_dict
+from repro.core.wedge_set import count_group_pp
 from repro.core.wedges import wedges_pruned
+from repro.streaming.graph import StreamGraph
 from repro.oracle import assert_equivalent
 from tests.util import canon_instances, edges_pdf, random_bipartite_pdf
 
@@ -121,18 +130,43 @@ def test_grouped_wedges_adds_no_join(spark):
     assert joins(grouped_wedges(sdf, 100)) <= joins(wedges_pruned(sdf, 100))
 
 
-def test_tbc_pp_job_count(spark):
-    """One TBC⁺⁺ call is a handful of Spark jobs: the wedge phase ranks
-    no vertex globally and joins no priority table."""
-    sdf = spark.createDataFrame(random_bipartite_pdf(6, 6, 60, seed=66))
+def _stages_of(spark, group: str, action) -> list:
+    """Run ``action`` under the new job group ``group``; the stage infos
+    of its jobs, one list per job."""
     sc = spark.sparkContext
-    sc.setJobGroup("tbc-pp-jobs", "one TBC++ call")
+    sc.setJobGroup(group, group)
     try:
-        tbc_pp(spark, sdf, 100).collect()
+        action()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
-    assert len(sc.statusTracker().getJobIdsForGroup("tbc-pp-jobs")) <= 8
+    st_ = sc.statusTracker()
+    return [
+        [st_.getStageInfo(s) for s in st_.getJobInfo(j).stageIds]
+        for j in st_.getJobIdsForGroup(group)
+    ]
+
+
+def test_tbc_pp_job_count(spark):
+    """One TBC⁺⁺ call is two Spark jobs: the collect of the edges and
+    the tasks over the broadcast graph; reading its result is none."""
+    sdf = spark.createDataFrame(random_bipartite_pdf(6, 6, 60, seed=66))
+    jobs = _stages_of(spark, "tbc-pp-jobs", lambda: tbc_pp(spark, sdf, 100).collect())
+    assert len(jobs) <= 2
+
+
+@pytest.mark.parametrize("algo", [tbc_plus, tbc_pp], ids=["plus", "pp"])
+def test_count_runs_a_python_task_per_core_and_drops_its_broadcast(spark, algo):
+    """Besides the edges' collect, a counting call runs one Python task
+    per core, and its broadcast graph leaves no pickled file behind."""
+    sc = spark.sparkContext
+    sdf = spark.createDataFrame(random_bipartite_pdf(6, 6, 60, seed=66))
+    before = set(os.listdir(sc._temp_dir))
+    jobs = _stages_of(spark, f"tasks-{algo.__name__}", lambda: algo(spark, sdf, 100).collect())
+    stages = [info for job in jobs for info in job]
+    python = [i.numCompletedTasks for i in stages if not i.name.startswith("toPandas")]
+    assert python == [sc.defaultParallelism]
+    assert set(os.listdir(sc._temp_dir)) <= before
 
 
 def test_wedge_plan_is_one_self_join(spark):
@@ -208,21 +242,18 @@ def test_no_viable_group_and_empty_partitions(spark):
 
 
 def test_walker_plan_has_one_exchange_above_the_wedge_join(spark):
-    """Above the wedge join: one (s, e) hash exchange, a sort and the
-    ``MapInPandas`` walker; no per-group Python operator and no window.
-    The only other exchange is the single-partition one of TBC⁺⁺'s sum."""
+    """Above TBE⁺'s wedge join: one (s, e) hash exchange, a sort and the
+    ``MapInPandas`` walker; no per-group Python operator and no window."""
     sdf = spark.createDataFrame(random_bipartite_pdf(6, 6, 60, seed=66))
-    for df in (tbc_pp(spark, sdf, 100), tbe_plus(spark, sdf, 100)):
-        plan = df._jdf.queryExecution().executedPlan().toString().splitlines()
-        top = plan[: next(i for i, line in enumerate(plan) if "Join " in line)]
-        ops = [line.lstrip(" :+-").split(" ")[0] for line in top]
-        assert "MapInPandas" in ops
-        assert "FlatMapGroupsInPandas" not in ops and "Window" not in ops
-        exchanges = [line for line in top if "Exchange " in line]
-        hashed = [x for x in exchanges if "hashpartitioning" in x]
-        assert len(hashed) == 1
-        assert re.search(r"hashpartitioning\(s#\d+L, e#\d+L, \d+\)", hashed[0])
-        assert all("SinglePartition" in x for x in exchanges if x not in hashed)
+    plan = tbe_plus(spark, sdf, 100)._jdf.queryExecution().executedPlan()
+    plan = plan.toString().splitlines()
+    top = plan[: next(i for i, line in enumerate(plan) if "Join " in line)]
+    ops = [line.lstrip(" :+-").split(" ")[0] for line in top]
+    assert "MapInPandas" in ops
+    assert "FlatMapGroupsInPandas" not in ops and "Window" not in ops
+    exchanges = [line for line in top if "Exchange " in line]
+    assert len(exchanges) == 1
+    assert re.search(r"hashpartitioning\(s#\d+L, e#\d+L, \d+\)", exchanges[0])
 
 
 def _batch(*rows):
@@ -265,3 +296,65 @@ def test_count_local_matches_brute(seed):
 def test_count_local_empty():
     pdf = edges_pdf([(0, 0, 1)])
     assert (count_local(pdf, 5) == np.zeros(6)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 12)), max_size=40
+    ),
+    delta=st.integers(0, 12),
+    data=st.data(),
+)
+def test_walk_split_over_any_partition_of_the_starts(rows, delta, data):
+    """No Spark: times drawn from 13 values, so ties and duplicate rows
+    abound. Walking each part of any partition of the starts, or the
+    bins' starts, gives the walk over all starts, and its counts are
+    ``brute_counts``."""
+    pdf = edges_pdf(rows)
+    g = StreamGraph.from_pdf(pdf)
+    starts = list(g.adj)
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(starts), max_size=len(starts)))
+    parts = [[s for s, k in zip(starts, labels) if k == b] for b in range(4)]
+
+    def groups(ss):
+        return sorted((s, e, sorted(ws)) for s, e, ws in walk(g, ss, delta))
+
+    whole = groups(starts)
+    assert len({(s, e) for s, e, _ws in whole}) == len(whole)
+    assert sorted(chain.from_iterable(map(groups, parts))) == whole
+    bins = start_bins(g, 3)
+    assert len(bins) == 3
+    assert groups(chain.from_iterable(bins)) == whole
+    counts = sum((count_group_pp(ws, delta, s % 2) for s, _e, ws in whole), np.zeros(6))
+    assert {i: int(c) for i, c in enumerate(counts)} == brute_counts(pdf, delta)
+
+
+def _hub_pdf():
+    """A sparse random graph plus upper vertex 6, which meets every lower
+    vertex four times in a burst after the rest: the top-priority start."""
+    base = random_bipartite_pdf(6, 6, 30, seed=12)  # times in [0, 120)
+    hub = edges_pdf([(6, i % 6, 120 + i) for i in range(24)])
+    return pd.concat([base, hub], ignore_index=True)
+
+
+def _two_butterflies_pdf():
+    """Two upper and two lower vertices, one of whose edges repeats:
+    three starts out-rank a middle, so on four cores a task bin is
+    empty."""
+    return edges_pdf([(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4), (0, 0, 5)])
+
+
+@pytest.mark.parametrize("algo", [tbc_plus, tbc_pp], ids=["plus", "pp"])
+def test_tasks_split_a_hub_and_leave_bins_empty(spark, algo):
+    hub, small = _hub_pdf(), _two_butterflies_pdf()
+    g = StreamGraph.from_pdf(hub)
+    per_start = Counter()
+    for s, _e, ws in walk(g, g.adj, 144):
+        per_start[s] += len(ws)
+    assert max(per_start.values()) > sum(per_start.values()) / 2
+    n = spark.sparkContext.defaultParallelism
+    assert sum(map(bool, start_bins(StreamGraph.from_pdf(small), n))) == min(n, 3)
+    for pdf, delta in ((hub, 144), (small, 10)):
+        got = counts_to_dict(algo(spark, spark.createDataFrame(pdf), delta))
+        assert got == brute_counts(pdf, delta) and sum(got.values()) > 0

@@ -12,10 +12,10 @@ from repro.core.wedge_set import (
     build_sets,
     count_group_plus,
     count_group_pp,
-    count_group_quadratic,
     enumerate_group,
     instance_row,
 )
+from tests.reference import count_group_quadratic
 
 
 def _wedge_strategy(delta: int):
