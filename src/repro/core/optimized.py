@@ -30,7 +30,7 @@ from pyspark.sql.types import StructType
 from repro.core.schema import N_TYPES, counts_frame
 from repro.core.wedge_set import count_group_plus, count_group_pp
 from repro.core.wedges import wedges_pruned
-from repro.streaming.graph import StreamGraph, sum_on_tasks
+from repro.streaming.graph import StreamGraph, keep_zip_listings, sum_on_tasks
 
 _GROUPED_COLS = ["s", "e", "m", "layer", "lo", "hi", "fwd"]
 _GROUPED_SCHEMA = "s long, e long, m long, layer long, lo long, hi long, fwd boolean"
@@ -60,12 +60,18 @@ def walk_groups(
     edges: DataFrame, delta: int, walker: Callable, schema: StructType | str
 ) -> DataFrame:
     """Pruned wedges, one (s, e) exchange, sorted within partitions, and
-    ``walker`` over each partition's iterator of Arrow batches."""
+    ``walker`` over each partition's iterator of Arrow batches, in a task
+    that first calls ``keep_zip_listings``."""
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        keep_zip_listings()
+        yield from walker(batches)
+
     return (
         wedges_pruned(edges, delta)
         .repartition("s", "e")
         .sortWithinPartitions("s", "e")
-        .mapInPandas(walker, schema)
+        .mapInPandas(run, schema)
     )
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.schema import MS_PER_DAY
 from repro.synth_data import temporal_bipartite_pdf
 
 
@@ -111,13 +110,3 @@ PAPER_TABLE4: dict[str, tuple[float, float, float, float, float, float]] = {
 
 #: the reproduction scale of the test suite
 TEST_SCALE = 0.0002
-
-
-def dataset_stats(pdf: pd.DataFrame) -> dict[str, float]:
-    """The Table-3 statistics of a generated edge frame."""
-    return {
-        "edges": int(len(pdf)),
-        "upper": int(pdf["u"].nunique()),
-        "lower": int(pdf["v"].nunique()),
-        "span_days": float((pdf["t"].max() - pdf["t"].min()) / MS_PER_DAY),
-    }

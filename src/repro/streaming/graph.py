@@ -7,6 +7,9 @@ queue and process it in chronological order", which makes every
 """
 from __future__ import annotations
 
+import os
+import sys
+import zipimport
 from bisect import bisect_left, bisect_right, insort
 from typing import Callable, Iterable
 
@@ -62,6 +65,35 @@ class StreamGraph:
         return lst[i:j]
 
 
+def keep_zip_listings() -> None:
+    """Make ``zipimporter.invalidate_caches`` re-read an archive's
+    directory only when the archive's ``(st_mtime_ns, st_size)`` changed
+    since this importer last read it, or cannot be read.
+
+    PySpark's worker calls ``importlib.invalidate_caches()`` before every
+    task, and under Python 3.11 each zipimporter over ``pyspark.zip`` and
+    py4j then re-reads its whole archive: ~0.1 s per task. Called from a
+    task, this makes a reused worker pay that once. Idempotent; Python
+    3.12 re-reads lazily (gh-103200), so there it changes nothing.
+    """
+    cls = zipimport.zipimporter
+    if sys.version_info >= (3, 12) or cls.invalidate_caches.__module__ == __name__:
+        return
+    reread = cls.invalidate_caches
+
+    def invalidate_caches(self) -> None:
+        try:
+            st = os.stat(self.archive)
+            stamp = (st.st_mtime_ns, st.st_size)
+        except OSError:
+            stamp = None
+        if stamp is None or stamp != getattr(self, "_listing_stamp", None):
+            reread(self)
+            self._listing_stamp = stamp
+
+    cls.invalidate_caches = invalidate_caches
+
+
 def sum_on_tasks(
     spark: SparkSession, g: StreamGraph, items: list, slices: int, fn: Callable
 ) -> np.ndarray:
@@ -72,6 +104,7 @@ def sum_on_tasks(
     bc = sc.broadcast(g)
 
     def run(part: Iterable):
+        keep_zip_listings()
         yield fn(bc.value, part)
 
     try:

@@ -8,14 +8,16 @@
 * ``count_group_quadratic`` — the combine kernels' reference: all
   cross-middle wedge pairs of one (s, e) group, classified one by one.
 * ``tbe_sql`` — the 4-way-join SQL enumeration run by Spark SQL.
+* ``dataset_stats`` — the Table-3 statistics of a generated analog.
 """
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.brute import sql_instances
-from repro.core.schema import N_TYPES
+from repro.core.schema import MS_PER_DAY, N_TYPES
 from repro.core.wedge_set import FWD, HI, LO, M
 
 #: coverage patterns between two forward-normalized wedge intervals
@@ -73,3 +75,13 @@ def tbe_sql(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
     """The 4-way-join SQL enumeration executed by Catalyst → instances."""
     edges.createOrReplaceTempView("edges_tbe_sql")
     return spark.sql(sql_instances(delta, edges="edges_tbe_sql"))
+
+
+def dataset_stats(pdf: pd.DataFrame) -> dict[str, float]:
+    """The Table-3 statistics of a generated edge frame."""
+    return {
+        "edges": int(len(pdf)),
+        "upper": int(pdf["u"].nunique()),
+        "lower": int(pdf["v"].nunique()),
+        "span_days": float((pdf["t"].max() - pdf["t"].min()) / MS_PER_DAY),
+    }

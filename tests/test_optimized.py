@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import chain
@@ -167,6 +168,25 @@ def test_count_runs_a_python_task_per_core_and_drops_its_broadcast(spark, algo):
     python = [i.numCompletedTasks for i in stages if not i.name.startswith("toPandas")]
     assert python == [sc.defaultParallelism]
     assert set(os.listdir(sc._temp_dir)) <= before
+
+
+def test_tbc_pp_workers_keep_zip_listings(spark):
+    """After a TBC⁺⁺ call, the reused Python workers that ran its tasks
+    keep their zip listings across tasks (Python < 3.12), and the call's
+    counts are unchanged. The probe lands on some of those workers."""
+    pdf = random_bipartite_pdf(6, 6, 60, seed=66)
+    got = counts_to_dict(tbc_pp(spark, spark.createDataFrame(pdf), 100))
+    assert got == brute_counts(pdf, 100) and sum(got.values()) > 0
+
+    def probe(_part):
+        import zipimport
+
+        yield zipimport.zipimporter.invalidate_caches.__module__ == "repro.streaming.graph"
+
+    sc = spark.sparkContext
+    n = sc.defaultParallelism
+    kept = sc.parallelize(range(n), n).mapPartitions(probe).collect()
+    assert any(kept) == (sys.version_info < (3, 12))
 
 
 def test_wedge_plan_is_one_self_join(spark):

@@ -1,14 +1,18 @@
 """Streaming algorithms vs from-scratch recomputation on every window."""
 from __future__ import annotations
 
+import importlib
 import os
+import sys
+import zipfile
+import zipimport
 
 import numpy as np
 import pytest
 
 from repro.core.optimized import count_local
 from repro.core.schema import days
-from repro.streaming.graph import StreamGraph
+from repro.streaming.graph import StreamGraph, keep_zip_listings
 from repro.streaming.stbc import edge_delta, stbc_delete_batch, stbc_insert_batch
 from repro.streaming.stbc_plus import stbc_plus_batch
 from repro.streaming.window import sliding_window_stbc, sliding_window_stbc_plus
@@ -238,3 +242,61 @@ def test_stbc_plus_spark_batches_release_broadcasts(spark):
     for cut in (20, 40, 60):
         stbc_plus_batch(g, rows[:cut], DELTA, "delete", spark=spark, parallelism=2)
     assert set(os.listdir(tmp)) <= before
+
+
+def _zip_modules(archive, names):
+    with zipfile.ZipFile(archive, "w") as z:
+        for name in names:
+            z.writestr(f"{name}.py", f"NAME = {name!r}\n")
+
+
+def test_keep_zip_listings_rereads_only_a_changed_archive(tmp_path, monkeypatch):
+    """Under the helper, ``importlib.invalidate_caches()`` reads an
+    unchanged archive's directory no more, and still re-reads one that
+    was rewritten on disk, or removed. The class is restored afterwards."""
+    cls = zipimport.zipimporter
+    monkeypatch.setattr(cls, "invalidate_caches", cls.invalidate_caches)
+    reads = []
+    read = zipimport._read_directory
+    monkeypatch.setattr(zipimport, "_read_directory", lambda a: reads.append(a) or read(a))
+    archive = tmp_path / "mods.zip"
+    _zip_modules(archive, ["zl_first"])
+    monkeypatch.syspath_prepend(str(archive))
+    try:
+        assert importlib.import_module("zl_first").NAME == "zl_first"
+        keep_zip_listings()
+        installed = cls.invalidate_caches
+        keep_zip_listings()
+        assert cls.invalidate_caches is installed
+        assert (cls.invalidate_caches.__module__ == "repro.streaming.graph") == (
+            sys.version_info < (3, 12)
+        )
+        importlib.invalidate_caches()  # the first call under the helper reads
+        reads.clear()
+        importlib.invalidate_caches()
+        assert reads == []
+
+        _zip_modules(archive, ["zl_first", "zl_second"])
+        importlib.invalidate_caches()
+        assert importlib.import_module("zl_second").NAME == "zl_second"
+        assert str(archive) in reads
+
+        if sys.version_info < (3, 12):  # 3.12 reads only on the next import
+            archive.unlink()
+            reads.clear()
+            importlib.invalidate_caches()
+            assert reads == [str(archive)]
+    finally:
+        for name in ("zl_first", "zl_second"):
+            sys.modules.pop(name, None)
+        sys.path_importer_cache.pop(str(archive), None)
+
+
+def test_keep_zip_listings_leaves_python_312_alone(monkeypatch):
+    cls = zipimport.zipimporter
+    original = cls.invalidate_caches
+    monkeypatch.setattr(cls, "invalidate_caches", original)
+    with monkeypatch.context() as m:
+        m.setattr(sys, "version_info", (3, 12, 0))
+        keep_zip_listings()
+    assert cls.invalidate_caches is original
