@@ -10,7 +10,7 @@ wedges     temporal wedge enumeration (Definition 1) with priority filters
 baseline   TBC / TBE — the §3 baselines as pure-Catalyst dataflows
 wedge_set  wedge set + wedge priority combine kernels (§4) — pure python
 optimized  TBC+ / TBC++ — §4 counting, a wedge walk per start on Spark tasks
-enumerate_ TBE+ — §4.3 enumeration on a Catalyst (s, e) group walker
+enumerate_ TBE+ — §4.3 enumeration, the same walk with an emitting kernel
 
 Oracles that only tests run are in ``tests/reference.py``.
 """

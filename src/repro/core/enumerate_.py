@@ -1,29 +1,35 @@
 """TBE⁺ (§4.3) — optimized enumeration on Spark.
 
-The Catalyst group walker of `repro.core.optimized` (one (s, e)
-exchange, sorted partitions, ``mapInPandas``) with the Algorithm-5
+The counters' loop of `repro.core.optimized` with the Algorithm-5
 range-traversal SetCross as the per-group kernel, which emits canonical
-butterfly instances; each partition yields its instance rows.
+butterfly instances: one ``mapInPandas`` task per start bin walks its
+starts over the graph held in the task's closure.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.optimized import viable_groups, walk_groups
+from repro.core.optimized import graph_and_bins, walk
 from repro.core.schema import INSTANCE_SCHEMA
 from repro.core.wedge_set import enumerate_group
-
-_COLS = [f.name for f in INSTANCE_SCHEMA.fields]
+from repro.streaming.graph import keep_zip_listings
 
 
 def tbe_plus(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
-    """TBE⁺: canonical instance rows (u1,u2,v1,v2,t11,t12,t21,t22,btype)."""
+    """TBE⁺: canonical instance rows (u1,u2,v1,v2,t11,t12,t21,t22,btype).
+    The edges are collected now; the rows are enumerated on each read."""
+    g, bins = graph_and_bins(spark, edges)
 
-    def enumerate_partition(batches):
-        rows = []
-        for s, e, ws in viable_groups(batches):
-            rows += enumerate_group(ws, delta, s % 2, s, e)
-        yield pd.DataFrame(rows, columns=_COLS, dtype="int64")
+    def run(batches):
+        keep_zip_listings()
+        for pdf in batches:
+            for i in pdf["id"].tolist():
+                rows = [
+                    row
+                    for s, e, ws in walk(g, bins[i], delta)
+                    for row in enumerate_group(ws, delta, s % 2, s, e)
+                ]
+                yield pd.DataFrame(rows, columns=INSTANCE_SCHEMA.names, dtype="int64")
 
-    return walk_groups(edges, delta, enumerate_partition, INSTANCE_SCHEMA)
+    return spark.range(0, len(bins), 1, len(bins)).mapInPandas(run, INSTANCE_SCHEMA)

@@ -1,93 +1,42 @@
-"""TBC⁺ / TBC⁺⁺ — the §4 optimized counters — and TBE⁺'s group walker.
+"""TBC⁺ / TBC⁺⁺ — the §4 optimized counters — and the wedge walk that
+TBE⁺ shares.
 
 Counting is the paper's Alg. 2, a loop over start vertices that reads
 each start's 2-hop wedges from an in-memory graph (``walk``) and combines
 each (s, e) group with a `repro.core.wedge_set` kernel. ``count_local``
-walks every start in one process; ``tbc_plus`` and ``tbc_pp`` collect
-the edges, broadcast one ``StreamGraph`` and walk the starts on one task
-per core (ParButterfly's per-vertex parallelism, Shi & Shun, APOCS 2020).
-
-TBE⁺ returns a lazy instance frame, which a broadcast could not outlive,
-so it keeps a Catalyst dataflow: Lemma-1-pruned wedges → one exchange on
-(s, e), sorted within partitions → one ``mapInPandas`` walker per
-partition. ``viable_groups`` reads each partition's rows as one stream
-of tuples, finds the groups with ``itertools.groupby`` on (s, e),
-whichever Arrow batches a group spans, and skips groups with fewer than
-two distinct middles, which cannot form a butterfly.
+walks every start in one process; ``tbc_plus``, ``tbc_pp`` and TBE⁺
+collect the edges into one ``StreamGraph`` and walk the starts on one
+task per core (ParButterfly's per-vertex parallelism, Shi & Shun, APOCS
+2020).
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import StructType
+from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import functions as F
 
 from repro.core.schema import N_TYPES, counts_frame
 from repro.core.wedge_set import count_group_plus, count_group_pp
 from repro.core.wedges import wedges_pruned
-from repro.streaming.graph import StreamGraph, keep_zip_listings, sum_on_tasks
-
-_GROUPED_COLS = ["s", "e", "m", "layer", "lo", "hi", "fwd"]
-_GROUPED_SCHEMA = "s long, e long, m long, layer long, lo long, hi long, fwd boolean"
-
-
-def viable_groups(batches: Iterator[pd.DataFrame]) -> Iterator[tuple[int, int, list[tuple]]]:
-    """``(s, e, wedges)`` per viable group of one partition, the wedges
-    as the kernels' ``(m, lo, hi, fwd)`` tuples of Python scalars.
-
-    The batches arrive sorted by (s, e), so each group is one run of the
-    partition's row stream, however many batches it spans. A group is
-    viable when it holds at least two distinct middles.
-    """
-    # each row as ((s, e), (m, lo, hi, fwd)), batch after batch
-    rows = chain.from_iterable(
-        zip(zip(pdf["s"].tolist(), pdf["e"].tolist()),
-            zip(*(pdf[c].tolist() for c in ("m", "lo", "hi", "fwd"))))
-        for pdf in batches
-    )
-    for (s, e), run in groupby(rows, key=itemgetter(0)):
-        ws = [w for _key, w in run]
-        if min(w[0] for w in ws) < max(w[0] for w in ws):
-            yield s, e, ws
-
-
-def walk_groups(
-    edges: DataFrame, delta: int, walker: Callable, schema: StructType | str
-) -> DataFrame:
-    """Pruned wedges, one (s, e) exchange, sorted within partitions, and
-    ``walker`` over each partition's iterator of Arrow batches, in a task
-    that first calls ``keep_zip_listings``."""
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        keep_zip_listings()
-        yield from walker(batches)
-
-    return (
-        wedges_pruned(edges, delta)
-        .repartition("s", "e")
-        .sortWithinPartitions("s", "e")
-        .mapInPandas(run, schema)
-    )
+from repro.streaming.graph import StreamGraph, sum_on_tasks
 
 
 def grouped_wedges(edges: DataFrame, delta: int) -> DataFrame:
-    """Pruned wedges restricted to (s, e) groups that can host butterflies."""
-
-    def viable_rows(batches):
-        rows = [
-            (s, e, m, s % 2, lo, hi, fwd)
-            for s, e, ws in viable_groups(batches)
-            for m, lo, hi, fwd in ws
-        ]
-        if rows:
-            yield pd.DataFrame(rows, columns=_GROUPED_COLS)
-
-    return walk_groups(edges, delta, viable_rows, _GROUPED_SCHEMA)
+    """Pruned wedges of the (s, e) groups with two distinct middles, the
+    only ones that can host butterflies: the benchmark's reference, pure
+    Catalyst and independent of ``walk``."""
+    se = Window.partitionBy("s", "e")
+    return (
+        wedges_pruned(edges, delta)
+        .withColumn("viable", F.min("m").over(se) < F.max("m").over(se))
+        .where("viable")
+        .select("s", "e", "m", "layer", "lo", "hi", "fwd")
+    )
 
 
 def walk(
@@ -144,13 +93,19 @@ def start_bins(g: StreamGraph, n: int) -> list[list[int]]:
     return bins
 
 
+def graph_and_bins(spark: SparkSession, edges: DataFrame) -> tuple[StreamGraph, list]:
+    """The edges collected into a ``StreamGraph``; its starts in one bin
+    per core."""
+    g = StreamGraph.from_pdf(edges.select("u", "v", "t").toPandas())
+    return g, start_bins(g, spark.sparkContext.defaultParallelism)
+
+
 def _count_on_tasks(
     spark: SparkSession, edges: DataFrame, delta: int, kernel: Callable
 ) -> DataFrame:
-    """One collect of the edges, then one task per start bin over the
-    broadcast graph; the summed counts come back as a JVM-side frame."""
-    g = StreamGraph.from_pdf(edges.select("u", "v", "t").toPandas())
-    bins = start_bins(g, spark.sparkContext.defaultParallelism)
+    """One task per start bin over the broadcast graph; the summed counts
+    come back as a JVM-side frame."""
+    g, bins = graph_and_bins(spark, edges)
     counts = sum_on_tasks(
         spark, g, bins, len(bins),
         lambda snap, part: _count(snap, chain.from_iterable(part), delta, kernel),

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import os
-import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -23,7 +22,6 @@ from repro.core.optimized import (
     start_bins,
     tbc_plus,
     tbc_pp,
-    viable_groups,
     walk,
 )
 from repro.core.schema import EDGE_SCHEMA, counts_to_dict
@@ -93,6 +91,7 @@ def test_optimized_single_butterfly_each_type(spark):
             want = {i: 0 for i in range(6)}
             want[btype] = 1
             assert got == want, (names, btype, algo.__name__)
+        assert _matches_brute(spark, tbe_plus, pdf, 5) == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -110,7 +109,7 @@ def test_tbe_plus_no_duplicate_instances(spark):
     assert len(inst) == len(canon_instances(inst))
 
 
-def test_grouped_wedges_only_viable_groups(spark):
+def test_grouped_wedges_keeps_only_groups_with_two_middles(spark):
     pdf = random_bipartite_pdf(6, 6, 60, seed=66)
     delta = int(pdf["t"].max())
     gw = grouped_wedges(spark.createDataFrame(pdf), delta).toPandas()
@@ -261,47 +260,48 @@ def test_no_viable_group_and_empty_partitions(spark):
         assert grouped_wedges(sdf, delta).count() == 0
 
 
-def test_walker_plan_has_one_exchange_above_the_wedge_join(spark):
-    """Above TBE⁺'s wedge join: one (s, e) hash exchange, a sort and the
-    ``MapInPandas`` walker; no per-group Python operator and no window."""
+def test_tbe_plus_is_one_python_stage_over_the_start_bins(spark):
+    """TBE⁺'s plan is one ``MapInPandas`` over the bin ids, with no join
+    and no exchange. A read of it runs the edges' collect and one Python
+    task per core, whose Arrow workers then keep their zip listings
+    (Python < 3.12)."""
+    sc = spark.sparkContext
+    n = sc.defaultParallelism
+    pdf = random_bipartite_pdf(6, 6, 60, seed=66)
+    sdf = spark.createDataFrame(pdf)
+    plan = tbe_plus(spark, sdf, 100)._jdf.queryExecution().executedPlan().toString()
+    ops = [line.lstrip(" :+-").split(" ")[0] for line in plan.splitlines()]
+    assert ops.count("MapInPandas") == 1
+    assert "Join" not in plan and "Exchange" not in plan
+    rows = []
+    jobs = _stages_of(
+        spark, "tbe-plus-tasks", lambda: rows.extend(tbe_plus(spark, sdf, 100).collect())
+    )
+    stages = [info for job in jobs for info in job]
+    python = [i.numCompletedTasks for i in stages if not i.name.startswith("toPandas")]
+    assert python == [n]
+    assert _rows(rows) == _rows(brute_instances(pdf, 100).itertuples(index=False))
+
+    def probe(batches):
+        import zipimport
+
+        for _ in batches:
+            pass
+        kept = zipimport.zipimporter.invalidate_caches.__module__ == "repro.streaming.graph"
+        yield pd.DataFrame({"kept": [kept]})
+
+    kept = spark.range(0, n, 1, n).mapInPandas(probe, "kept boolean").collect()
+    assert any(r["kept"] for r in kept) == (sys.version_info < (3, 12))
+
+
+def test_grouped_wedges_runs_no_python(spark):
+    """The benchmark's reference groups are pure Catalyst: a window over
+    (s, e) keeps the groups with two middles."""
     sdf = spark.createDataFrame(random_bipartite_pdf(6, 6, 60, seed=66))
-    plan = tbe_plus(spark, sdf, 100)._jdf.queryExecution().executedPlan()
-    plan = plan.toString().splitlines()
-    top = plan[: next(i for i, line in enumerate(plan) if "Join " in line)]
-    ops = [line.lstrip(" :+-").split(" ")[0] for line in top]
-    assert "MapInPandas" in ops
-    assert "FlatMapGroupsInPandas" not in ops and "Window" not in ops
-    exchanges = [line for line in top if "Exchange " in line]
-    assert len(exchanges) == 1
-    assert re.search(r"hashpartitioning\(s#\d+L, e#\d+L, \d+\)", exchanges[0])
-
-
-def _batch(*rows):
-    """One Arrow-like batch of pruned wedges ``(s, e, m, lo, hi, fwd)``."""
-    pdf = pd.DataFrame(list(rows), columns=["s", "e", "m", "lo", "hi", "fwd"])
-    pdf = pdf.astype({c: "int64" for c in ("s", "e", "m", "lo", "hi")} | {"fwd": bool})
-    pdf.insert(3, "layer", pdf["s"] % 2)
-    return pdf
-
-
-def test_viable_groups_walks_groups_across_batches():
-    """No Spark: an empty batch in mid-partition, a group over three
-    batches, one-row batches, and a one-middle group between two viable
-    groups, which the walker skips."""
-    batches = [
-        _batch((0, 2, 1, 10, 11, True), (0, 2, 3, 12, 14, False)),
-        _batch(),
-        _batch((0, 2, 5, 13, 15, True)),
-        _batch((0, 2, 1, 16, 17, False), (0, 4, 1, 10, 12, True)),
-        _batch((0, 4, 1, 13, 18, False)),
-        _batch((1, 3, 0, 20, 21, True), (1, 3, 2, 22, 23, True)),
-        _batch(),
-    ]
-    assert list(viable_groups(iter(batches))) == [
-        (0, 2, [(1, 10, 11, True), (3, 12, 14, False), (5, 13, 15, True), (1, 16, 17, False)]),
-        (1, 3, [(0, 20, 21, True), (2, 22, 23, True)]),
-    ]
-    assert list(viable_groups(iter([_batch()]))) == []
+    plan = grouped_wedges(sdf, 100)._jdf.queryExecution().executedPlan().toString()
+    assert "Window" in plan
+    for op in ("MapInPandas", "ArrowEvalPython", "BatchEvalPython"):
+        assert op not in plan, op
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -365,7 +365,7 @@ def _two_butterflies_pdf():
     return edges_pdf([(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4), (0, 0, 5)])
 
 
-@pytest.mark.parametrize("algo", [tbc_plus, tbc_pp], ids=["plus", "pp"])
+@pytest.mark.parametrize("algo", [tbc_plus, tbc_pp, tbe_plus], ids=["plus", "pp", "tbe"])
 def test_tasks_split_a_hub_and_leave_bins_empty(spark, algo):
     hub, small = _hub_pdf(), _two_butterflies_pdf()
     g = StreamGraph.from_pdf(hub)
@@ -376,5 +376,59 @@ def test_tasks_split_a_hub_and_leave_bins_empty(spark, algo):
     n = spark.sparkContext.defaultParallelism
     assert sum(map(bool, start_bins(StreamGraph.from_pdf(small), n))) == min(n, 3)
     for pdf, delta in ((hub, 144), (small, 10)):
-        got = counts_to_dict(algo(spark, spark.createDataFrame(pdf), delta))
-        assert got == brute_counts(pdf, delta) and sum(got.values()) > 0
+        assert _matches_brute(spark, algo, pdf, delta) > 0
+
+
+def _rows(rows) -> list[tuple]:
+    """Instance rows as a sorted list of int tuples: a multiset, since
+    repeated edge rows repeat their butterflies."""
+    return sorted(tuple(map(int, r)) for r in rows)
+
+
+def _matches_brute(spark, algo, pdf, delta) -> int:
+    """Asserts that ``algo`` on ``pdf`` gives brute force's instance rows
+    (TBE⁺) or six counts (a counter); returns the butterflies found."""
+    got = algo(spark, spark.createDataFrame(pdf, EDGE_SCHEMA), delta)
+    if algo is tbe_plus:
+        rows = _rows(got.collect())
+        assert rows == _rows(brute_instances(pdf, delta).itertuples(index=False))
+        return len(rows)
+    counts = counts_to_dict(got)
+    assert counts == brute_counts(pdf, delta), algo.__name__
+    return sum(counts.values())
+
+
+def _tie_graphs() -> dict[str, pd.DataFrame]:
+    """Three graphs whose times come from 13 values, so equal times
+    abound, and whose rows repeat."""
+    rng = np.random.default_rng(13)
+    rand = edges_pdf(list(zip(
+        rng.integers(0, 4, 36).tolist(), rng.integers(0, 4, 36).tolist(),
+        rng.integers(0, 13, 36).tolist(),
+    )))
+    hub = edges_pdf(
+        [(0, v, (3 * v + k) % 13) for v in range(6) for k in range(3)]
+        + [(1 + v % 3, v, (5 * v) % 13) for v in range(6)] * 2
+    )
+    full = edges_pdf([(u, v, (u * 4 + v * 3 + k * 5) % 13)
+                      for u in range(3) for v in range(3) for k in range(2)] * 2)
+    return {"random": pd.concat([rand, rand.head(8)], ignore_index=True),
+            "hub": hub, "complete": full}
+
+
+@pytest.mark.parametrize("name", ["random", "hub", "complete"])
+def test_tied_and_repeated_rows_match_brute(spark, name):
+    """Timestamp ties, repeated rows and δ = 0: TBE⁺ gives brute force's
+    instances and TBC⁺⁺ its counts. A TBE⁺ frame read before and after
+    a TBC⁺⁺ call, whose broadcast is destroyed, gives the same rows."""
+    pdf = _tie_graphs()[name]
+    assert pdf.duplicated().any() and pdf["t"].duplicated().any()
+    found = [_matches_brute(spark, algo, pdf, delta)
+             for delta in (0, 4, 12) for algo in (tbe_plus, tbc_pp)]
+    assert found[:2] == [0, 0] and found[-1] > 0
+    frame = tbe_plus(spark, spark.createDataFrame(pdf, EDGE_SCHEMA), 12)
+    first = _rows(frame.collect())
+    tbc_pp(spark, spark.createDataFrame(pdf, EDGE_SCHEMA), 12)
+    assert _rows(frame.collect()) == first == _rows(
+        brute_instances(pdf, 12).itertuples(index=False)
+    )
