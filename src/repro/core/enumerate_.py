@@ -2,8 +2,9 @@
 
 The counters' loop of `repro.core.optimized` with the Algorithm-5
 range-traversal SetCross as the per-group kernel, which emits canonical
-butterfly instances: one ``mapInPandas`` task per start bin walks its
-starts over the graph held in the task's closure.
+butterfly instances: one ``mapInPandas`` task per bin of
+``optimized.start_bins`` walks its units, a hot start's share of (s, e)
+groups each, over the graph held in the task's closure.
 """
 from __future__ import annotations
 

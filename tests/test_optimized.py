@@ -328,26 +328,40 @@ def test_count_local_empty():
 )
 def test_walk_split_over_any_partition_of_the_starts(rows, delta, data):
     """No Spark: times drawn from 13 values, so ties and duplicate rows
-    abound. Walking each part of any partition of the starts, or the
-    bins' starts, gives the walk over all starts, and its counts are
-    ``brute_counts``."""
+    abound. Walking each part of any partition of the starts gives the
+    walk over all starts. The k units ``(s, j, k)`` of a start, for any
+    k, yield its groups once between them, as do the units of
+    ``start_bins`` for any bin count, and their counts are
+    ``brute_counts``. Each unit is walked on its own, as on its own task,
+    so a deal that differed between walks would lose or repeat a group."""
     pdf = edges_pdf(rows)
     g = StreamGraph.from_pdf(pdf)
     starts = list(g.adj)
     labels = data.draw(st.lists(st.integers(0, 3), min_size=len(starts), max_size=len(starts)))
     parts = [[s for s, k in zip(starts, labels) if k == b] for b in range(4)]
 
-    def groups(ss):
-        return sorted((s, e, sorted(ws)) for s, e, ws in walk(g, ss, delta))
+    def groups(units):
+        return sorted(
+            (s, e, sorted(ws)) for u in units for s, e, ws in walk(g, [u], delta)
+        )
 
-    whole = groups(starts)
+    def whole_starts(ss):
+        return groups((s, 0, 1) for s in ss)
+
+    whole = whole_starts(starts)
     assert len({(s, e) for s, e, _ws in whole}) == len(whole)
-    assert sorted(chain.from_iterable(map(groups, parts))) == whole
-    bins = start_bins(g, 3)
-    assert len(bins) == 3
-    assert groups(chain.from_iterable(bins)) == whole
-    counts = sum((count_group_pp(ws, delta, s % 2) for s, _e, ws in whole), np.zeros(6))
-    assert {i: int(c) for i, c in enumerate(counts)} == brute_counts(pdf, delta)
+    assert sorted(chain.from_iterable(map(whole_starts, parts))) == whole
+    for s in starts:
+        for k in range(1, 5):
+            assert groups((s, j, k) for j in range(k)) == whole_starts([s])
+    want = brute_counts(pdf, delta)
+    for n in (1, 3, 4):
+        bins = start_bins(g, n)
+        assert len(bins) == n
+        got = groups(chain.from_iterable(bins))
+        assert got == whole
+        counts = sum((count_group_pp(ws, delta, s % 2) for s, _e, ws in got), np.zeros(6))
+        assert {i: int(c) for i, c in enumerate(counts)} == want
 
 
 def _hub_pdf():
@@ -359,24 +373,36 @@ def _hub_pdf():
 
 
 def _two_butterflies_pdf():
-    """Two upper and two lower vertices, one of whose edges repeats:
-    three starts out-rank a middle, so on four cores a task bin is
-    empty."""
+    """Two upper and two lower vertices, one of whose edges repeats."""
     return edges_pdf([(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4), (0, 0, 5)])
 
 
 @pytest.mark.parametrize("algo", [tbc_plus, tbc_pp, tbe_plus], ids=["plus", "pp", "tbe"])
 def test_tasks_split_a_hub_and_leave_bins_empty(spark, algo):
-    hub, small = _hub_pdf(), _two_butterflies_pdf()
+    """The hub start walks most wedges, so on 4 bins its units land in
+    several bins and no bin walks more than 1.5/4 of the wedges. With no
+    edge no start out-ranks a middle, so every bin is empty and the
+    counts are zero."""
+    hub, empty = _hub_pdf(), edges_pdf([])
     g = StreamGraph.from_pdf(hub)
     per_start = Counter()
-    for s, _e, ws in walk(g, g.adj, 144):
+    for s, _e, ws in walk(g, [(s, 0, 1) for s in g.adj], 144):
         per_start[s] += len(ws)
-    assert max(per_start.values()) > sum(per_start.values()) / 2
+    (top, most), = per_start.most_common(1)
+    assert most > per_start.total() / 2
+    bins = start_bins(g, 4)
+    assert sum(any(s == top for s, _j, _k in b) for b in bins) >= 2
+    walked = [sum(len(ws) for _s, _e, ws in walk(g, b, 144)) for b in bins]
+    assert sum(walked) == per_start.total()
+    assert max(walked) <= 1.5 / 4 * per_start.total()
     n = spark.sparkContext.defaultParallelism
-    assert sum(map(bool, start_bins(StreamGraph.from_pdf(small), n))) == min(n, 3)
-    for pdf, delta in ((hub, 144), (small, 10)):
+    assert start_bins(StreamGraph.from_pdf(empty), n) == [[]] * n
+    for pdf, delta in ((hub, 144), (_two_butterflies_pdf(), 10)):
         assert _matches_brute(spark, algo, pdf, delta) > 0
+    assert _matches_brute(spark, algo, empty, 10) == 0
+    if algo is tbc_pp:
+        got = tbc_pp(spark, spark.createDataFrame(hub, EDGE_SCHEMA), 144)
+        assert_equivalent(got, sql_counts(144), edges=hub)
 
 
 def _rows(rows) -> list[tuple]:
