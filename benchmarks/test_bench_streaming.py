@@ -60,10 +60,7 @@ def test_parallelism_sweep(benchmark, spark, name, par):
         stbc_plus_batch(g, rows[:64], DELTA, "insert", spark=spark, parallelism=par)
     counts = once(
         benchmark,
-        lambda: stbc_plus_batch(
-            g, rows, DELTA, "insert",
-            spark=spark if par > 1 else None, parallelism=par,
-        ),
+        lambda: stbc_plus_batch(g, rows, DELTA, "insert", spark=spark, parallelism=par),
     )
     out = {
         "dataset": name, "algo": f"stbc+{par}", "window": len(rows), "stride": len(rows),

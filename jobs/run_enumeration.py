@@ -16,12 +16,11 @@ from pathlib import Path
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import ENUM_CHOICES, make_session, print_table, resolve_enum_algo  # noqa: E402
 
-from repro.core.schema import N_TYPES, days, type_counts  # noqa: E402
+from repro.core.schema import days, type_counts  # noqa: E402
 from repro.datasets import DATASETS  # noqa: E402
 
 
@@ -38,11 +37,7 @@ def run(
     fn = resolve_enum_algo(algo)
     t0 = time.perf_counter()
     inst = fn(spark, sdf, days(delta_days))
-    per_type = (
-        type_counts(inst, [F.count_if(F.col("btype") == i) for i in range(N_TYPES)])
-        .withColumnRenamed("cnt", "instances")
-        .toPandas()
-    )
+    per_type = type_counts(inst).withColumnRenamed("cnt", "instances").toPandas()
     elapsed = time.perf_counter() - t0
     per_type["dataset"] = dataset
     per_type["algo"] = algo

@@ -45,7 +45,7 @@ def run(
     elif algo == "stbc+":
         steps = sliding_window_stbc_plus(
             pdf, window=window, stride=stride, delta=delta,
-            spark=spark if parallelism > 1 else None, parallelism=parallelism,
+            spark=spark, parallelism=parallelism,
         )
     else:
         raise ValueError(f"unknown streaming algo {algo!r}")

@@ -2,14 +2,12 @@
 Sanei-Mehri et al. lifted to temporal butterflies.
 
 Every edge survives independently with probability ``p``; the exact
-temporal counter runs on the sampled graph and each per-type count is
-scaled by ``p^-4`` (a butterfly survives iff its 4 edges all survive,
-so the estimator is unbiased per type — the Appendix-A correctness
-argument).
+temporal counter (TBC⁺⁺) runs on the sampled graph and each per-type
+count is scaled by ``p^-4`` (a butterfly survives iff its 4 edges all
+survive, so the estimator is unbiased per type — the Appendix-A
+correctness argument).
 """
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -32,13 +30,13 @@ def sample_edges_pdf(edges: pd.DataFrame, p: float, seed: int) -> pd.DataFrame:
 
 
 def approx_tbc_local(
-    edges: pd.DataFrame, delta: int, p: float, seed: int = 0,
-    counter: Callable = count_local,
+    edges: pd.DataFrame, delta: int, p: float, seed: int = 0
 ) -> np.ndarray:
-    """Estimated per-type counts (floats) on a pandas edge frame."""
+    """Estimated per-type counts (floats) on a pandas edge frame, from
+    ``count_local`` (single-process TBC⁺⁺) on the sample."""
     _check_p(p)
     sampled = sample_edges_pdf(edges, p, seed)
-    return counter(sampled, delta) / p**4
+    return count_local(sampled, delta) / p**4
 
 
 def approx_tbc(
@@ -47,14 +45,13 @@ def approx_tbc(
     delta: int,
     p: float,
     seed: int = 0,
-    counter: Callable = tbc_pp,
 ) -> DataFrame:
-    """Estimated counts as a (btype, est) frame; ``counter`` is any of
-    the exact Spark counting algorithms (ApproxTBC / ApproxTBC⁺ /
-    ApproxTBC⁺⁺ are the same wrapper over tbc / tbc_plus / tbc_pp)."""
+    """Estimated counts as a (btype, est) frame, from ``tbc_pp`` on the
+    sample (ApproxTBC⁺⁺; the paper's ApproxTBC / ApproxTBC⁺ are the same
+    wrapper over TBC / TBC⁺)."""
     _check_p(p)
     sampled = edges.where(F.rand(seed) < p)
-    exact = counter(spark, sampled, delta)
+    exact = tbc_pp(spark, sampled, delta)
     return exact.select("btype", (F.col("cnt") / F.lit(p**4)).alias("est"))
 
 

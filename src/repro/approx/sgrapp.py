@@ -12,7 +12,7 @@ empirically preset exponent the paper denotes {θ_i} (typically within
 [1.0, 1.5])."""
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -41,20 +41,20 @@ def sgrapp_tbc(
     delta: int,
     n_t_w: int,
     thetas: Sequence[float] = (1.0,) * N_TYPES,
-    counter: Callable = count_local,
 ) -> np.ndarray:
-    """Estimated per-type counts (floats). ``counter`` is any exact
-    pandas-level counter (sGrappTBC/⁺/⁺⁺ differ only in that plug)."""
+    """Estimated per-type counts (floats), the in-window counts from
+    ``count_local`` (single-process TBC⁺⁺; the paper's
+    sGrappTBC / ⁺ / ⁺⁺ differ only in that exact counter)."""
     if len(thetas) != N_TYPES:
         raise ValueError("need one theta per butterfly type")
     windows = split_windows(edges, n_t_w)
     est = np.zeros(N_TYPES, dtype=float)
     seen_edges = len(windows[0]) if windows else 0
     if windows:
-        est += counter(windows[0], delta)
+        est += count_local(windows[0], delta)
     for w in windows[1:]:
         seen_edges += len(w)
-        est += counter(w, delta)
+        est += count_local(w, delta)
         est += np.array([seen_edges**t for t in thetas])
     return est
 
@@ -63,19 +63,19 @@ def fit_thetas(
     edges: pd.DataFrame,
     delta: int,
     n_t_w: int,
-    counter: Callable = count_local,
 ) -> np.ndarray:
     """Empirically preset {θ_i} for a dataset/window size (paper App. A:
-    "we need to empirically preset a unique θ parameter for each type").
+    "we need to empirically preset a unique θ parameter for each type"),
+    with ``count_local`` as the exact counter.
 
     Solves, per type, Σ_{w≥2} EC_w^θ = (exact count) − (in-window count)
     by bisection — the calibration pass the paper runs on reference data
     before deploying sGrapp. θ is clamped to [0, 2].
     """
     windows = split_windows(edges, n_t_w)
-    exact = counter(edges, delta).astype(float)
+    exact = count_local(edges, delta).astype(float)
     inwin = sum(
-        (counter(w, delta) for w in windows),
+        (count_local(w, delta) for w in windows),
         np.zeros(N_TYPES, dtype=np.int64),
     ).astype(float)
     ecs = np.cumsum([len(w) for w in windows])[1:]

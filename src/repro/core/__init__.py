@@ -3,7 +3,7 @@
 Modules
 -------
 schema     edge-frame conventions, gid encoding, shared constants
-classify   the 6-type temporal-butterfly algebra (python / SQL)
+classify   the 6-type temporal-butterfly algebra: one table, python + generated SQL
 brute      exact reference implementations (pandas + DuckDB SQL oracle)
 priority   directed half-edges; vertex priority (Definition 4) as a rank
 wedges     temporal wedge enumeration (Definition 1) with priority filters

@@ -3,9 +3,10 @@
 The paper's TBC enumerates priority-filtered wedges, then pairs wedges
 sharing (start, end) with different middles and applies the ``IsTB``
 filter and type mapping. In Spark that is literally a self-join of the
-wedge frame on (s, e) followed by filter + CASE + aggregate, so the
-whole baseline (including its quadratic wedge-pair blow-up, which the
-evaluation exposes) lives in Catalyst.
+wedge frame on (s, e) followed by filter + CASE, so the whole baseline
+(including its quadratic wedge-pair blow-up, which the evaluation
+exposes) lives in Catalyst. ``tbe`` types each pair once, with the
+shared ``classify_sql`` expression; ``tbc`` counts ``tbe``'s rows.
 
 ``tbc_sql`` additionally runs the independent 4-way-join SQL (the same
 text the DuckDB oracle executes) through Spark SQL — a second,
@@ -18,7 +19,7 @@ from pyspark.sql import functions as F
 
 from repro.core.brute import sql_counts
 from repro.core.classify import classify_sql
-from repro.core.schema import N_TYPES, type_counts
+from repro.core.schema import type_counts
 from repro.core.wedges import wedges
 
 
@@ -71,11 +72,9 @@ def _paired_wedges(edges: DataFrame, delta: int) -> DataFrame:
 
 
 def tbc(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
-    """Baseline temporal butterfly counting (Algorithm 1) → (btype, cnt)."""
-    btype = F.expr(classify_sql("t11", "t12", "t21", "t22"))
-    return type_counts(
-        _paired_wedges(edges, delta), [F.count_if(btype == i) for i in range(N_TYPES)]
-    )
+    """Baseline temporal butterfly counting (Algorithm 1) → (btype, cnt):
+    the typed rows of ``tbe``, counted per type."""
+    return type_counts(tbe(spark, edges, delta))
 
 
 def tbe(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:

@@ -1,10 +1,11 @@
 """Exact reference implementations, independent of the wedge machinery.
 
 ``brute_counts`` / ``brute_instances`` walk all vertex quadruples of a
-small pandas edge frame. ``sql_counts`` builds one SQL text (valid in
-both DuckDB and Spark SQL) that counts temporal butterflies through a
-4-way self-join; the DuckDB oracle (`repro.oracle.assert_equivalent`)
-runs it to validate every Spark algorithm. Both are O(expensive) by
+small pandas edge frame. ``sql_instances`` is one SQL text (valid in
+both DuckDB and Spark SQL) that enumerates temporal butterflies through
+a 4-way self-join, and ``sql_counts`` counts its rows per type; the
+DuckDB oracle (`repro.oracle.assert_equivalent`) runs the latter to
+validate every Spark algorithm. Both are O(expensive) by
 design — correctness oracles for tiny graphs, not algorithms.
 """
 from __future__ import annotations
@@ -69,53 +70,42 @@ def brute_counts(edges: pd.DataFrame, delta: int) -> dict[int, int]:
     return out
 
 
-def sql_counts(delta: int, edges: str = "edges") -> str:
-    """SQL text counting temporal butterflies per type over ``edges``.
+def sql_instances(delta: int, edges: str = "edges") -> str:
+    """SQL text enumerating canonical butterfly instances over ``edges``.
 
-    The query canonicalizes each butterfly as ``u1 < u2``, ``v1 < v2``
-    (so every instance is produced exactly once), applies the
-    distinct-timestamps and δ-duration constraints, classifies via the
-    shared CASE expression, and left-joins onto the 0..5 type domain so
-    zero-count types still appear. Runs identically on DuckDB and Spark.
+    The 4-way self-join canonicalizes each butterfly as ``u1 < u2``,
+    ``v1 < v2`` (so every instance is produced exactly once), applies the
+    distinct-timestamps and δ-duration constraints, and types it with the
+    shared ``classify_sql`` expression. Runs identically on DuckDB and
+    Spark.
     """
-    btype = classify_sql("q.t11", "q.t12", "q.t21", "q.t22")
+    btype = classify_sql("e1.t", "e2.t", "e3.t", "e4.t")
     return f"""
-WITH quad AS (
-  SELECT e1.t AS t11, e2.t AS t12, e3.t AS t21, e4.t AS t22
-  FROM {edges} e1
-  JOIN {edges} e2 ON e2.u = e1.u AND e2.v > e1.v
-  JOIN {edges} e3 ON e3.v = e1.v AND e3.u > e1.u
-  JOIN {edges} e4 ON e4.u = e3.u AND e4.v = e2.v
-  WHERE GREATEST(e1.t, e2.t, e3.t, e4.t) - LEAST(e1.t, e2.t, e3.t, e4.t) <= {delta}
-    AND e1.t <> e2.t AND e1.t <> e3.t AND e1.t <> e4.t
-    AND e2.t <> e3.t AND e2.t <> e4.t AND e3.t <> e4.t
-),
-typed AS (SELECT {btype} AS btype FROM quad q),
-grouped AS (SELECT btype, COUNT(*) AS c FROM typed GROUP BY btype)
+SELECT e1.u AS u1, e3.u AS u2, e1.v AS v1, e2.v AS v2,
+       e1.t AS t11, e2.t AS t12, e3.t AS t21, e4.t AS t22,
+       {btype} AS btype
+FROM {edges} e1
+JOIN {edges} e2 ON e2.u = e1.u AND e2.v > e1.v
+JOIN {edges} e3 ON e3.v = e1.v AND e3.u > e1.u
+JOIN {edges} e4 ON e4.u = e3.u AND e4.v = e2.v
+WHERE GREATEST(e1.t, e2.t, e3.t, e4.t) - LEAST(e1.t, e2.t, e3.t, e4.t) <= {delta}
+  AND e1.t <> e2.t AND e1.t <> e3.t AND e1.t <> e4.t
+  AND e2.t <> e3.t AND e2.t <> e4.t AND e3.t <> e4.t
+"""
+
+
+def sql_counts(delta: int, edges: str = "edges") -> str:
+    """SQL text counting ``sql_instances`` per type over ``edges``,
+    left-joined onto the 0..5 type domain so zero-count types still
+    appear. Runs identically on DuckDB and Spark."""
+    return f"""
+WITH grouped AS (
+  SELECT i.btype AS btype, COUNT(*) AS c
+  FROM ({sql_instances(delta, edges)}) i
+  GROUP BY i.btype
+)
 SELECT types.btype AS btype, CAST(COALESCE(grouped.c, 0) AS BIGINT) AS cnt
 FROM (VALUES (0), (1), (2), (3), (4), (5)) AS types(btype)
 LEFT JOIN grouped ON grouped.btype = types.btype
 ORDER BY types.btype
-"""
-
-
-def sql_instances(delta: int, edges: str = "edges") -> str:
-    """SQL text enumerating canonical butterfly instances (both engines)."""
-    btype = classify_sql("q.t11", "q.t12", "q.t21", "q.t22")
-    return f"""
-WITH quad AS (
-  SELECT e1.u AS u1, e3.u AS u2, e1.v AS v1, e2.v AS v2,
-         e1.t AS t11, e2.t AS t12, e3.t AS t21, e4.t AS t22
-  FROM {edges} e1
-  JOIN {edges} e2 ON e2.u = e1.u AND e2.v > e1.v
-  JOIN {edges} e3 ON e3.v = e1.v AND e3.u > e1.u
-  JOIN {edges} e4 ON e4.u = e3.u AND e4.v = e2.v
-  WHERE GREATEST(e1.t, e2.t, e3.t, e4.t) - LEAST(e1.t, e2.t, e3.t, e4.t) <= {delta}
-    AND e1.t <> e2.t AND e1.t <> e3.t AND e1.t <> e4.t
-    AND e2.t <> e3.t AND e2.t <> e4.t AND e3.t <> e4.t
-)
-SELECT q.u1 AS u1, q.u2 AS u2, q.v1 AS v1, q.v2 AS v2,
-       q.t11 AS t11, q.t12 AS t12, q.t21 AS t21, q.t22 AS t22,
-       {btype} AS btype
-FROM quad q
 """

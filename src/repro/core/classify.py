@@ -1,18 +1,36 @@
 """The 6-type temporal butterfly algebra (Figure 1 / §4.1 of the paper).
 
-``classify_times`` anchors the earliest of the four edges and reads the
-type from the order in which the U-sharing, L-sharing, and opposite
-edges follow (the table in DESIGN.md §1); ``classify_sql`` is the same
-rule as one SQL expression. The paper's wedge-set formulation of the
-algebra (coverage × direction pattern, then the xor layer-conversion
-rule) is what the §4 kernels count in bulk; its one-pair form lives with
-the tests (``tests/reference.py``), which cross-test it against
-``classify_times`` on every ordering.
+The types are defined once, by DESIGN.md §1's table as code: anchor at
+the earliest edge, and read the type off the roles of the second and
+third edges (``TYPE_OF``). ``classify_times`` applies the table in
+Python; ``classify_sql`` generates one SQL expression from it.
+
+The §4 kernels never call this module: they type each wedge pair by the
+SetCross class it is found in (``wedge_set``). That rule for a single
+pair lives with the tests (``tests/reference.py``), which cross-test it
+against ``classify_times`` on every ordering.
 
 Both accept only butterflies with 4 pairwise-distinct timestamps; the
 caller filters ties (the paper assumes tie-broken timestamps).
 """
 from __future__ import annotations
+
+#: the roles of the other three edges against the anchor (a, b): (a, b')
+#: shares its U vertex, (a', b) its L vertex, (a', b') neither. With
+#: tXY at index 2·(X−1) + (Y−1) of (t11, t12, t21, t22), a role is an
+#: xor mask: the edge in role r of the anchor at index i is at i ^ r
+SHARE_U, SHARE_L, OPP = 1, 2, 3
+ROLES = (SHARE_L, SHARE_U, OPP)
+
+#: DESIGN.md §1: (role of e2, role of e3) → type
+TYPE_OF = {
+    (SHARE_L, SHARE_U): 0,
+    (SHARE_L, OPP): 3,
+    (SHARE_U, SHARE_L): 1,
+    (SHARE_U, OPP): 2,
+    (OPP, SHARE_L): 4,
+    (OPP, SHARE_U): 5,
+}
 
 
 def classify_times(t11: int, t12: int, t21: int, t22: int) -> int:
@@ -26,22 +44,9 @@ def classify_times(t11: int, t12: int, t21: int, t22: int) -> int:
     ts = (t11, t12, t21, t22)
     if len(set(ts)) != 4:
         raise ValueError(f"timestamps must be pairwise distinct: {ts}")
-    anchor = min(ts)
-    # anchor edge (a, b): shareU = (a, b'), shareL = (a', b), opp = (a', b')
-    if anchor == t11:
-        su, sl, op = t12, t21, t22
-    elif anchor == t12:
-        su, sl, op = t11, t22, t21
-    elif anchor == t21:
-        su, sl, op = t22, t11, t12
-    else:
-        su, sl, op = t21, t12, t11
-    if sl < su and sl < op:  # e2 shares the L vertex
-        return 0 if su < op else 3
-    if su < sl and su < op:  # e2 shares the U vertex
-        return 1 if sl < op else 2
-    # e2 is the opposite edge
-    return 4 if sl < su else 5
+    a = ts.index(min(ts))
+    e2, e3, _ = sorted(ROLES, key=lambda r: ts[a ^ r])
+    return TYPE_OF[e2, e3]
 
 
 def classify_sql(t11: str, t12: str, t21: str, t22: str) -> str:
@@ -50,25 +55,24 @@ def classify_sql(t11: str, t12: str, t21: str, t22: str) -> str:
     The same text is valid Spark SQL and DuckDB SQL, so the correctness
     oracle and the Catalyst baseline share one classification source.
     Inputs are SQL expressions for the four (pairwise-distinct) times.
+    The outer CASE has one branch per role of e2, the last as ``ELSE``.
     """
+    ts = (t11, t12, t21, t22)
     anchor = f"LEAST({t11}, {t12}, {t21}, {t22})"
-    su = (
-        f"(CASE WHEN {anchor} = {t11} THEN {t12} WHEN {anchor} = {t12} THEN {t11} "
-        f"WHEN {anchor} = {t21} THEN {t22} ELSE {t21} END)"
-    )
-    sl = (
-        f"(CASE WHEN {anchor} = {t11} THEN {t21} WHEN {anchor} = {t12} THEN {t22} "
-        f"WHEN {anchor} = {t21} THEN {t11} ELSE {t12} END)"
-    )
-    op = (
-        f"(CASE WHEN {anchor} = {t11} THEN {t22} WHEN {anchor} = {t12} THEN {t21} "
-        f"WHEN {anchor} = {t21} THEN {t12} ELSE {t11} END)"
-    )
-    return (
-        f"(CASE WHEN {sl} < {su} AND {sl} < {op} THEN "
-        f"(CASE WHEN {su} < {op} THEN 0 ELSE 3 END) "
-        f"WHEN {su} < {sl} AND {su} < {op} THEN "
-        f"(CASE WHEN {sl} < {op} THEN 1 ELSE 2 END) "
-        f"ELSE (CASE WHEN {sl} < {su} THEN 4 ELSE 5 END) END)"
-    )
-
+    role = {
+        r: "(CASE "
+        + " ".join(f"WHEN {anchor} = {ts[a]} THEN {ts[a ^ r]}" for a in range(3))
+        + f" ELSE {ts[3 ^ r]} END)"
+        for r in ROLES
+    }
+    branches = []
+    for e2 in ROLES:
+        x, y = (r for r in ROLES if r != e2)
+        first = f"{role[e2]} < {role[x]} AND {role[e2]} < {role[y]}"
+        then = (
+            f"(CASE WHEN {role[x]} < {role[y]} THEN {TYPE_OF[e2, x]} "
+            f"ELSE {TYPE_OF[e2, y]} END)"
+        )
+        branches.append((first, then))
+    whens = "".join(f"WHEN {first} THEN {then} " for first, then in branches[:-1])
+    return f"(CASE {whens}ELSE {branches[-1][1]} END)"

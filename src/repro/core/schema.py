@@ -15,6 +15,7 @@ for lower vertices, so ``gid % 2`` is the layer (0 = U, 1 = L).
 from __future__ import annotations
 
 from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
 #: number of non-isomorphic temporal butterfly types (Figure 1)
@@ -22,14 +23,6 @@ N_TYPES = 6
 
 #: milliseconds per day — the paper quotes δ and time spans in days
 MS_PER_DAY = 86_400_000
-
-EDGE_SCHEMA = StructType(
-    [
-        StructField("u", LongType(), False),
-        StructField("v", LongType(), False),
-        StructField("t", LongType(), False),
-    ]
-)
 
 #: schema of canonical enumeration results: a butterfly instance on
 #: vertices {u1 < u2} x {v1 < v2} with tXY = time of edge (uX, vY)
@@ -68,15 +61,16 @@ def days(n: float) -> int:
     return int(n * MS_PER_DAY)
 
 
-def type_counts(df: DataFrame, per_type: list[Column]) -> DataFrame:
-    """The six (btype, cnt) rows of a counting API, from one aggregate of
-    ``df`` per type (``per_type[i]`` counts type ``i``).
+def type_counts(df: DataFrame) -> DataFrame:
+    """The six (btype, cnt) rows of a counting API: the rows of ``df``
+    counted per value of its ``btype`` column.
 
     A global aggregate yields one row even over empty input, so every
     type gets its row, zero counts included, in type order.
     """
     cols = [f"c{i}" for i in range(N_TYPES)]
-    row = df.agg(*[agg.alias(c) for agg, c in zip(per_type, cols)])
+    btype = F.col("btype")
+    row = df.agg(*[F.count_if(btype == i).alias(c) for i, c in enumerate(cols)])
     stack = ", ".join(f"{i}L, {c}" for i, c in enumerate(cols))
     return row.selectExpr(f"stack({N_TYPES}, {stack}) as (btype, cnt)")
 

@@ -17,6 +17,11 @@ already-processed wedges of the other side, held in one of two stores:
   and TS (keyed by t_s) as two ``SortedList``s; ``count_group_pp``
   (TBC⁺⁺) reads each class off three O(log n) rank queries.
 
+A wedge pair's type is its class (§4.1): coverage (0 non-overlap,
+1 intersect, 2 cover), + 3 if the wedges run in different directions,
+xor the start layer. The counters sum class sizes into types; TBE⁺
+types each instance by the class of the range it was emitted from.
+
 The tests check every kernel against a quadratic reference that
 classifies each cross-middle wedge pair on its own
 (``tests/reference.py``).
@@ -39,7 +44,6 @@ from typing import Callable, Iterable
 import numpy as np
 from sortedcontainers import SortedList
 
-from repro.core.classify import classify_times
 from repro.core.schema import N_TYPES
 
 #: wedge tuple layout inside a group
@@ -105,14 +109,14 @@ class HP(dict):
                 del self[ts]
 
     def ranges(self, hi: int):
-        """``(bucket, start, stop)`` per class: ``bucket[start:stop]`` is
-        in a coverage class against a wedge whose ``t_a`` is ``hi``."""
+        """``(class, bucket, start, stop)``: ``bucket[start:stop]`` is in
+        that coverage class against a wedge whose ``t_a`` is ``hi``."""
         for ts, ws in self.items():
             if ts > hi:
-                yield ws, 0, len(ws)
+                yield 0, ws, 0, len(ws)
             elif ts < hi:
-                yield ws, bisect_right(ws, hi, key=_HI), len(ws)
-                yield ws, 0, bisect_left(ws, hi, key=_HI)
+                yield 1, ws, bisect_right(ws, hi, key=_HI), len(ws)
+                yield 2, ws, 0, bisect_left(ws, hi, key=_HI)
 
     def sizes(self, hi: int) -> tuple[int, int, int]:
         """The lengths of ``ranges(hi)``, summed per class (Alg. 4 Query).
@@ -238,9 +242,11 @@ def _raw_times(w: tuple) -> tuple[int, int]:
     return (w[LO], w[HI]) if w[FWD] else (w[HI], w[LO])
 
 
-def instance_row(s: int, e: int, layer: int, wi: tuple, wj: tuple) -> tuple:
+def instance_row(
+    s: int, e: int, layer: int, wi: tuple, wj: tuple, btype: int
+) -> tuple:
     """Canonical instance (u1,u2,v1,v2,t11,t12,t21,t22,btype) from a
-    wedge pair sharing start ``s`` / end ``e`` (gids)."""
+    wedge pair sharing start ``s`` / end ``e`` (gids), of type ``btype``."""
     ti_sm, ti_me = _raw_times(wi)
     tj_sm, tj_me = _raw_times(wj)
     if layer == 0:  # s,e in U; middles in L
@@ -254,20 +260,21 @@ def instance_row(s: int, e: int, layer: int, wi: tuple, wj: tuple) -> tuple:
     u1, u2 = min(ua, ub), max(ua, ub)
     v1, v2 = min(va, vb), max(va, vb)
     t11, t12, t21, t22 = t[(u1, v1)], t[(u1, v2)], t[(u2, v1)], t[(u2, v2)]
-    return (u1, u2, v1, v2, t11, t12, t21, t22,
-            classify_times(t11, t12, t21, t22))
+    return (u1, u2, v1, v2, t11, t12, t21, t22, btype)
 
 
 def enumerate_group(
     wedges: list[tuple], delta: int, layer: int, s: int, e: int
 ) -> list[tuple]:
-    """All canonical instances of one (s, e) group (TBE⁺ kernel)."""
+    """All canonical instances of one (s, e) group (TBE⁺ kernel), each
+    typed by its SetCross class as ``_count`` types its counts."""
     out: list[tuple] = []
 
     def visit(w, same, diff):
-        for hp in (same, diff):
-            for ws, a, b in hp.ranges(w[HI]):
-                out.extend(instance_row(s, e, layer, w, o) for o in ws[a:b])
+        for d, hp in enumerate((same, diff)):
+            for k, ws, a, b in hp.ranges(w[HI]):
+                btype = (k + 3 * d) ^ layer
+                out.extend(instance_row(s, e, layer, w, o, btype) for o in ws[a:b])
 
     _combine(wedges, delta, HP, visit)
     return out

@@ -107,6 +107,3 @@ PAPER_TABLE4: dict[str, tuple[float, float, float, float, float, float]] = {
     "WN": (30.1, 12.2, 12.6, 19.8, 20.2, 5.1),
     "EP": (51.1, 3.2, 6.1, 34.4, 1.4, 3.8),
 }
-
-#: the reproduction scale of the test suite
-TEST_SCALE = 0.0002

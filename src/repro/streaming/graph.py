@@ -23,7 +23,6 @@ class StreamGraph:
 
     def __init__(self) -> None:
         self.adj: dict[int, list[tuple[int, int]]] = {}
-        self.n_edges = 0
 
     @classmethod
     def from_pdf(cls, edges: pd.DataFrame) -> "StreamGraph":
@@ -39,7 +38,6 @@ class StreamGraph:
         gu, gv = 2 * u, 2 * v + 1
         insort(self.adj.setdefault(gu, []), (t, gv))
         insort(self.adj.setdefault(gv, []), (t, gu))
-        self.n_edges += 1
 
     def delete(self, u: int, v: int, t: int) -> None:
         """Remove edge (u, v, t); a vertex whose last edge leaves drops
@@ -53,7 +51,6 @@ class StreamGraph:
             lst.pop(i)
             if not lst:
                 del self.adj[a]
-        self.n_edges -= 1
 
     def neighbors_in(self, gid: int, lo: int, hi: int) -> list[tuple[int, int]]:
         """Incident (t, nbr) with lo <= t <= hi, by binary search."""

@@ -41,7 +41,6 @@ def edge_delta(
     if hi is None:
         hi = t + delta
     gu, gv = 2 * u, 2 * v + 1
-    layer = gu % 2  # 0: u starts from U
     H: dict[int, list[tuple]] = {}
     # wedges u -> x -> w through every other middle x (Alg. 7 lines 2-9)
     for t1, gx in g.neighbors_in(gu, lo, hi):
@@ -49,12 +48,12 @@ def edge_delta(
             continue
         lo2 = max(lo, max(t, t1) - delta)
         hi2 = min(hi, min(t, t1) + delta)
+        # |t2 - t1| <= δ already: t2 lies within δ of both t and t1
         for t2, gw in g.neighbors_in(gx, lo2, hi2):
             if gw == gu or t2 == t or t2 == t1:
                 continue
             wl, wh = (t1, t2) if t1 < t2 else (t2, t1)
-            if wh - wl <= delta:
-                H.setdefault(gw, []).append((OTHER_MIDDLE, wl, wh, t1 < t2))
+            H.setdefault(gw, []).append((OTHER_MIDDLE, wl, wh, t1 < t2))
     # wedges u -> v -> w whose first leg is the edge itself (lines 10-15)
     for t2, gw in g.neighbors_in(gv, lo, hi):
         if gw == gu or t2 == t:
@@ -65,7 +64,7 @@ def edge_delta(
     counts = np.zeros(N_TYPES, dtype=np.int64)
     for gw, wedges in H.items():
         if any(w[0] == EDGE_MIDDLE for w in wedges):
-            counts += count_group_pp(wedges, delta, layer)
+            counts += count_group_pp(wedges, delta, 0)  # u starts from U
     return counts
 
 

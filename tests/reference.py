@@ -1,4 +1,4 @@
-"""Test oracles that no program path runs.
+"""Test oracles and test-only names that no program path uses.
 
 * ``wedge_pair_type`` — the paper's §4.1 wedge-set algebra for one pair:
   normalize both wedges to forward intervals, compare the coverage
@@ -9,16 +9,30 @@
   cross-middle wedge pairs of one (s, e) group, classified one by one.
 * ``tbe_sql`` — the 4-way-join SQL enumeration run by Spark SQL.
 * ``dataset_stats`` — the Table-3 statistics of a generated analog.
+* ``EDGE_SCHEMA`` — the non-null (u, v, t) long schema of an edge frame.
+* ``TEST_SCALE`` — the dataset scale of the job tests.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.brute import sql_instances
 from repro.core.schema import MS_PER_DAY, N_TYPES
 from repro.core.wedge_set import FWD, HI, LO, M
+
+EDGE_SCHEMA = StructType(
+    [
+        StructField("u", LongType(), False),
+        StructField("v", LongType(), False),
+        StructField("t", LongType(), False),
+    ]
+)
+
+#: the reproduction scale of the job and dataset tests
+TEST_SCALE = 0.0002
 
 #: coverage patterns between two forward-normalized wedge intervals
 NON_OVERLAP, INTERSECT, COVER = 0, 1, 2

@@ -65,6 +65,19 @@ def test_sql_classifier_matches_python_duckdb(perm):
     assert got == classify_times(t11, t12, t21, t22)
 
 
+def test_sql_classifier_matches_python_spark(spark):
+    """The same text in Spark SQL, over all 24 orderings in one query."""
+    rows = ", ".join(f"({a}, {b}, {c}, {d})" for a, b, c, d in ALL_PERMS)
+    expr = classify_sql("t11", "t12", "t21", "t22")
+    got = spark.sql(
+        f"SELECT t11, t12, t21, t22, {expr} AS bt "
+        f"FROM VALUES {rows} AS perms(t11, t12, t21, t22)"
+    ).collect()
+    assert sorted(tuple(r)[:4] for r in got) == sorted(ALL_PERMS)
+    for t11, t12, t21, t22, bt in got:
+        assert bt == classify_times(t11, t12, t21, t22)
+
+
 def _wedge_from_raw(ts: int, ta: int) -> tuple[int, int, bool]:
     return (ts, ta, True) if ts < ta else (ta, ts, False)
 

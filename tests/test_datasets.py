@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.optimized import count_local
 from repro.core.schema import days
-from repro.datasets import DATASETS, PAPER_TABLE4, TEST_SCALE, DatasetConfig
-from tests.reference import dataset_stats
+from repro.datasets import DATASETS, PAPER_TABLE4, DatasetConfig
+from tests.reference import TEST_SCALE, dataset_stats
 
 ALL_NAMES = list(DATASETS)
 

@@ -15,7 +15,7 @@ import run_streaming  # noqa: E402
 import table3_datasets  # noqa: E402
 import table4_distribution  # noqa: E402
 
-from repro.datasets import TEST_SCALE  # noqa: E402
+from tests.reference import TEST_SCALE  # noqa: E402
 
 
 def test_table3_job(spark):

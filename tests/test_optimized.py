@@ -24,11 +24,12 @@ from repro.core.optimized import (
     tbc_pp,
     walk,
 )
-from repro.core.schema import EDGE_SCHEMA, counts_to_dict
+from repro.core.schema import counts_to_dict
 from repro.core.wedge_set import count_group_pp
 from repro.core.wedges import wedges_pruned
 from repro.streaming.graph import StreamGraph
 from repro.oracle import assert_equivalent
+from tests.reference import EDGE_SCHEMA
 from tests.util import canon_instances, edges_pdf, random_bipartite_pdf
 
 

@@ -15,7 +15,7 @@ from repro.core.wedge_set import (
     enumerate_group,
     instance_row,
 )
-from tests.reference import count_group_quadratic
+from tests.reference import count_group_quadratic, wedge_pair_type
 
 
 def _wedge_strategy(delta: int):
@@ -140,16 +140,20 @@ def test_instance_row_reconstructs_edges():
     # U start s=4 (u=2), e=8 (u=4); middles 1 (v=0) and 3 (v=1)
     wi = (1, 10, 20, True)  # (u2,v0)@10, (u4,v0)@20
     wj = (3, 12, 15, False)  # backward: (u2,v1)@15, (u4,v1)@12
-    row = instance_row(4, 8, 0, wi, wj)
+    bt = wedge_pair_type(10, 20, True, 12, 15, False, layer=0)
+    row = instance_row(4, 8, 0, wi, wj, bt)
     assert row[:4] == (2, 4, 0, 1)
     assert row[4:8] == (10, 15, 20, 12)
-    assert row[8] == classify_times(10, 15, 20, 12)
+    # the pair's wedge-set type is the type of the rebuilt edge times
+    assert row[8] == bt == classify_times(10, 15, 20, 12)
 
 
 def test_instance_row_L_perspective():
     # L start s=1 (v=0), e=3 (v=1); middles 2 (u=1), 6 (u=3)
     wi = (2, 10, 20, True)  # (u1,v0)@10, (u1,v1)@20
     wj = (6, 12, 15, True)  # (u3,v0)@12, (u3,v1)@15
-    row = instance_row(1, 3, 1, wi, wj)
+    bt = wedge_pair_type(10, 20, True, 12, 15, True, layer=1)
+    row = instance_row(1, 3, 1, wi, wj, bt)
     assert row[:4] == (1, 3, 0, 1)
     assert row[4:8] == (10, 20, 12, 15)
+    assert row[8] == bt == classify_times(10, 20, 12, 15)
