@@ -5,9 +5,13 @@ Each kernel consumes the wedges of one (start-vertex, end-vertex) group
 (Lemma-1-pruned, forward-normalized) — and produces the six per-type
 butterfly counts (or the instances) contributed by that group.
 
-The optimized kernels share one recursive set merge and one SetCross
-sweep (Alg. 3). The sweep visits each wedge against the
-already-processed wedges of the other side, held in one of two stores:
+The optimized kernels visit each wedge pair of a group once, in one
+SetCross sweep (Alg. 3) instead of Alg. 3's merge tree. A two-middle
+group gets one two-sided sweep. A larger one gets one one-set sweep
+over all its wedges, whose same-middle pairs the counters subtract (one
+sweep per middle) and TBE⁺ skips: all pairs less same-middle pairs, as
+BFC-VP (Wang et al., PVLDB 2019) sums static wedge pairs per (start,
+end). A sweep queries already-processed wedges in one of two stores:
 
 * ``HP``    — Alg. 4's hashmap ``t_s → wedges in ascending t_a``. A
   binary search splits each bucket into coverage classes;
@@ -23,8 +27,7 @@ xor the start layer. The counters sum class sizes into types; TBE⁺
 types each instance by the class of the range it was emitted from.
 
 The tests check every kernel against a quadratic reference that
-classifies each cross-middle wedge pair on its own
-(``tests/reference.py``).
+classifies each cross-middle pair on its own (``tests/reference.py``).
 
 Wedge priority (Definition 6): ``P_W(∠i) < P_W(∠j)`` iff
 ``∠i.t_s > ∠j.t_s``, ties broken by smaller ``t_a``; kernels process
@@ -34,7 +37,6 @@ wedges, whose ``t_s`` is strictly larger.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
@@ -53,28 +55,20 @@ M, LO, HI, FWD = range(4)
 _PRIO_ORDER = lambda w: (-w[LO], w[HI])
 _HI = itemgetter(HI)
 
-#: SetCross lists (A_i, D_i, A_j, D_j) → their (same-direction,
-#: different-direction) partner lists on the other side
-_PARTNER = ((2, 3), (3, 2), (0, 1), (1, 0))
+#: partner tables: a wedge of a sweep's list b queries the stores of the
+#: lists ``partner[b]`` = (same direction, different direction). Two sets'
+#: lists (A_i, D_i, A_j, D_j) query across; one set's (A, D) query itself.
+_TWO_SETS = ((2, 3), (3, 2), (0, 1), (1, 0))
+_ONE_SET = ((0, 1), (1, 0))
 
 
 def build_sets(wedges: Iterable[tuple]) -> list[tuple[list, list]]:
-    """Group wedges by middle vertex into (A, D) subsets (Definition 5).
-
-    Each subset is sorted in priority-increasing order. Only the sets —
-    not the middle ids — matter for counting; enumeration keeps ``m``
-    inside the tuples.
-    """
+    """Group wedges by middle vertex into (A, D) subsets (Definition 5),
+    in order of middle id, each in priority-increasing order."""
     by_m: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
-    for w in wedges:
-        by_m[w[M]][0 if w[FWD] else 1].append(w)
-    sets = []
-    for m in sorted(by_m):
-        a, d = by_m[m]
-        a.sort(key=_PRIO_ORDER)
-        d.sort(key=_PRIO_ORDER)
-        sets.append((a, d))
-    return sets
+    for w in sorted(wedges, key=_PRIO_ORDER):
+        by_m[w[M]][not w[FWD]].append(w)
+    return [by_m[m] for m in sorted(by_m)]
 
 
 # --------------------------------------------------------------------------
@@ -162,64 +156,63 @@ class Trees:
 
 
 # --------------------------------------------------------------------------
-# recursive merge + SetCross sweep (Algorithm 3)
+# one SetCross sweep per group (Algorithm 3)
 # --------------------------------------------------------------------------
 
 
-def _setcross(left, right, delta: int, store: Callable, visit: Callable) -> None:
-    """SetCross (Alg. 3 lines 8–29): sweep both sides' A/D lists by
-    ``t_s`` descending; each wedge of the current ``t_s`` batch visits its
-    partner stores, then the batch enters its own store."""
-    lists = (left[0], left[1], right[0], right[1])
-    stores = [store() for _ in lists]
-    ptr = [0, 0, 0, 0]
-    while True:
-        heads = [lst[p][LO] for lst, p in zip(lists, ptr) if p < len(lst)]
-        if not heads:
-            return
-        maxn = max(heads)
-        for st in stores:
-            st.delete_gt(maxn + delta)
-        batch = []
-        for b, lst in enumerate(lists):
-            same, diff = _PARTNER[b]
-            while ptr[b] < len(lst) and lst[ptr[b]][LO] == maxn:
-                w = lst[ptr[b]]
-                visit(w, stores[same], stores[diff])
-                batch.append((b, w))
-                ptr[b] += 1
-        for b, w in batch:
-            stores[b].insert(w)
+def _sweep(tagged, partner, delta: int, store: Callable, visit: Callable) -> None:
+    """SetCross (Alg. 3 lines 8–29) over ``(list, wedge)`` pairs in
+    priority order: by ``t_s`` descending, each wedge of the current
+    ``t_s`` batch visits the stores ``partner`` names for its list, then
+    the batch enters its own list's store."""
+    stores = [store() for _ in partner]
+    batch: list = []
+    for b, w in tagged:
+        if not batch or w[LO] != batch[0][1][LO]:
+            for x in batch:
+                stores[x[0]].insert(x[1])
+            batch.clear()
+            for st in stores:
+                st.delete_gt(w[LO] + delta)
+        same, diff = partner[b]
+        visit(w, stores[same], stores[diff])
+        batch.append((b, w))
 
 
-def _combine(wedges: list[tuple], delta: int, store: Callable, visit: Callable) -> None:
-    """Bottom-up merge of the group's wedge sets: every cross-set wedge
-    pair meets in exactly one SetCross call (Mergesort-style, Alg. 3)."""
+def _pairs(wedges: list, delta: int, store: Callable, visit: Callable) -> list[list]:
+    """Visit each wedge pair of the group once. Two middles: one
+    two-sided sweep, which visits cross-middle pairs only. Three or
+    more: one one-set sweep over the whole group; the one-set lists of
+    the middles whose own pairs it visited too are returned."""
+    tagged = [(not w[FWD], w) for w in sorted(wedges, key=_PRIO_ORDER)]
+    by_m: dict[int, list] = defaultdict(list)
+    for x in tagged:
+        by_m[x[1][M]].append(x)
+    if len(by_m) == 2:
+        m0 = tagged[0][1][M]
+        tagged = [(2 * (w[M] != m0) + b, w) for b, w in tagged]
+        _sweep(tagged, _TWO_SETS, delta, store, visit)
+    elif len(by_m) > 2:
+        _sweep(tagged, _ONE_SET, delta, store, visit)
+        return [x for x in by_m.values() if len(x) > 1]
+    return []
 
-    def merge(sets: list) -> tuple[list, list]:
-        if len(sets) == 1:
-            return sets[0]
-        left, right = merge(sets[: len(sets) // 2]), merge(sets[len(sets) // 2:])
-        _setcross(left, right, delta, store, visit)
-        return tuple(
-            list(heapq.merge(x, y, key=_PRIO_ORDER)) for x, y in zip(left, right)
-        )
 
-    sets = build_sets(wedges)
-    if len(sets) > 1:
-        merge(sets)
-
-
-def _count(wedges, delta: int, layer: int, store: Callable) -> np.ndarray:
-    """Per-type counts from the class sizes of ``store``."""
-    c = [0] * N_TYPES  # by (direction, coverage) class, before the layer xor
-
+def _tally(c: list[int]) -> Callable:
     def visit(w, same, diff):
         for k, n in enumerate(same.sizes(w[HI]) + diff.sizes(w[HI])):
             c[k] += n
 
-    _combine(wedges, delta, store, visit)
-    return np.array([c[i ^ layer] for i in range(N_TYPES)], dtype=np.int64)
+    return visit
+
+
+def _count(wedges, delta: int, layer: int, store: Callable) -> np.ndarray:
+    """Per-type counts from the class sizes of ``store``: the group's
+    pairs less each middle's own, by class before the layer xor."""
+    c, own = [0] * N_TYPES, [0] * N_TYPES
+    for ws in _pairs(wedges, delta, store, _tally(c)):
+        _sweep(ws, _ONE_SET, delta, store, _tally(own))
+    return (np.array(c, dtype=np.int64) - own)[[i ^ layer for i in range(N_TYPES)]]
 
 
 def count_group_plus(wedges: list[tuple], delta: int, layer: int) -> np.ndarray:
@@ -267,14 +260,18 @@ def enumerate_group(
     wedges: list[tuple], delta: int, layer: int, s: int, e: int
 ) -> list[tuple]:
     """All canonical instances of one (s, e) group (TBE⁺ kernel), each
-    typed by its SetCross class as ``_count`` types its counts."""
+    typed by its SetCross class as ``_count`` types its counts; a
+    partner of the wedge's own middle is skipped."""
     out: list[tuple] = []
 
     def visit(w, same, diff):
+        m = w[M]
         for d, hp in enumerate((same, diff)):
             for k, ws, a, b in hp.ranges(w[HI]):
                 btype = (k + 3 * d) ^ layer
-                out.extend(instance_row(s, e, layer, w, o, btype) for o in ws[a:b])
+                out.extend(
+                    instance_row(s, e, layer, w, o, btype) for o in ws[a:b] if o[M] != m
+                )
 
-    _combine(wedges, delta, HP, visit)
+    _pairs(wedges, delta, HP, visit)
     return out

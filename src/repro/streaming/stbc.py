@@ -33,8 +33,10 @@ def edge_delta(
 
     ``[lo, hi]`` bounds the timestamps of the *other three* edges;
     defaults to the full Algorithm-7 range ``[t-δ, t+δ]``. STBC⁺ passes
-    the Lemma-8 half-ranges ``(t, t+δ]`` / ``[t-δ, t)`` instead. The
-    edge itself must currently be present in ``g``.
+    the Lemma-8 half-ranges ``(t, t+δ]`` / ``[t-δ, t)`` instead. A wider
+    range counts as ``[t-δ, t+δ]`` does: a wedge of the edge longer than
+    δ is dropped, as the kernel needs ``hi ≤ lo + δ``. The edge itself
+    must currently be present in ``g``.
     """
     if lo is None:
         lo = t - delta

@@ -10,6 +10,7 @@ import zipimport
 import numpy as np
 import pytest
 
+from repro.core.brute import brute_counts
 from repro.core.optimized import count_local
 from repro.core.schema import days
 from repro.streaming.graph import StreamGraph, keep_zip_listings
@@ -123,6 +124,21 @@ class TestEdgeDelta:
         for u, v, t in pdf.itertuples(index=False):
             acc += edge_delta(g, int(u), int(v), int(t), DELTA)
         assert (acc == 4 * total).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_range_keeps_delta(self, seed):
+        """Given ``[lo, hi] = [t − 3δ, t + 3δ]``, a wedge of the edge longer
+        than δ is left out, so the count equals the default range's and
+        the brute-force count of the butterflies containing the edge."""
+        pdf = random_bipartite_pdf(4, 4, 50, seed=seed, t_range=150)
+        d = 12
+        g, total = StreamGraph.from_pdf(pdf), brute_counts(pdf, d)
+        for i, (u, v, t) in enumerate(pdf.itertuples(index=False)):
+            u, v, t = int(u), int(v), int(t)
+            wide = edge_delta(g, u, v, t, d, lo=t - 3 * d, hi=t + 3 * d)
+            rest = brute_counts(pdf.drop(i), d)
+            want = [total[k] - rest[k] for k in range(6)]
+            assert wide.tolist() == edge_delta(g, u, v, t, d).tolist() == want
 
 
 class TestBatches:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.classify import classify_times
-from repro.core.schema import N_TYPES
+from repro.core.optimized import walk
+from repro.core.schema import N_TYPES, days
 from repro.core.wedge_set import (
     build_sets,
     count_group_plus,
@@ -15,24 +16,28 @@ from repro.core.wedge_set import (
     enumerate_group,
     instance_row,
 )
-from tests.reference import count_group_quadratic, wedge_pair_type
+from repro.datasets import DATASETS
+from repro.streaming.graph import StreamGraph
+from tests.reference import TEST_SCALE, count_group_quadratic, wedge_pair_type
+
+KERNELS = (count_group_plus, count_group_pp)
 
 
-def _wedge_strategy(delta: int):
+def _wedge_strategy(delta: int, max_m: int = 9):
     def make(m, lo, span, fwd):
         return (m, lo, lo + 1 + span, fwd)
 
     return st.builds(
         make,
-        st.integers(1, 9, ),
+        st.integers(1, max_m),
         st.integers(0, 40),
         st.integers(0, delta - 1),
         st.booleans(),
     )
 
 
-def _groups(delta: int, max_size: int = 24):
-    return st.lists(_wedge_strategy(delta), min_size=0, max_size=max_size)
+def _groups(delta: int, max_size: int = 24, max_m: int = 9):
+    return st.lists(_wedge_strategy(delta, max_m), min_size=0, max_size=max_size)
 
 
 def _enum_hist(wedges, delta, layer):
@@ -81,6 +86,67 @@ def test_enumerated_instances_are_valid(wedges, layer):
         assert len(set(ts)) == 4
         assert max(ts) - min(ts) <= 6
         assert classify_times(t11, t12, t21, t22) == bt
+
+
+@given(_groups(delta=8, max_size=30, max_m=3), st.integers(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_kernels_match_quadratic_few_middles(wedges, layer):
+    """Middles from 1..3: each middle holds many wedges, so the one-set
+    sweep's same-middle pairs must cancel exactly."""
+    wedges = [(2 * m + 1 - layer, lo, hi, f) for m, lo, hi, f in wedges]
+    want = count_group_quadratic(wedges, 8, layer)
+    for kernel in (*KERNELS, _enum_hist):
+        got = kernel(wedges, 8, layer)
+        assert (got == want).all(), (kernel, wedges, got, want)
+
+
+def _clustered_group(n_middles: int, seed: int) -> list[tuple]:
+    """20–40 wedges per middle, each middle's in its own time block that
+    only the next middle's block reaches within δ = 100."""
+    rng = np.random.default_rng(seed)
+    ws = []
+    for i in range(n_middles):
+        for _ in range(rng.integers(20, 41)):
+            lo = 120 * i + int(rng.integers(0, 41))
+            hi = lo + int(rng.integers(1, 21))
+            ws.append((2 * i + 1, lo, hi, bool(rng.random() < 0.5)))
+    return ws
+
+
+def _same_middle_pairs(wedges, delta):
+    return sum(
+        wi[0] == wj[0] and max(wi[2], wj[2]) - min(wi[1], wj[1]) <= delta
+        for i, wi in enumerate(wedges)
+        for wj in wedges[i + 1:]
+    )
+
+
+@pytest.mark.parametrize("n_middles", [2, 3, 4, 5])
+@pytest.mark.parametrize("layer", [0, 1])
+def test_kernels_match_quadratic_on_clustered_middles(n_middles, layer):
+    """Two middles take the two-sided sweep, more the one-set sweep less
+    each middle's own; same-middle pairs far outnumber the butterflies."""
+    ws = _clustered_group(n_middles, seed=n_middles)
+    want = count_group_quadratic(ws, 100, layer)
+    assert 0 < 5 * want.sum() < _same_middle_pairs(ws, 100)
+    for kernel in (*KERNELS, _enum_hist):
+        assert (kernel(ws, 100, layer) == want).all(), kernel
+
+
+def test_kernels_agree_on_walk_groups():
+    """Every (s, e) group of an LF analog's walk: TBC⁺, TBC⁺⁺ and the TBE⁺
+    histogram sum to the same counts, over groups of both sweeps."""
+    g = StreamGraph.from_pdf(DATASETS["LF"].generate_pdf(TEST_SCALE))
+    d = days(40)
+    sums = np.zeros((3, N_TYPES), dtype=np.int64)
+    middles = set()
+    for s, _e, ws in walk(g, ((s, 0, 1) for s in g.adj), d):
+        middles.add(min(len({w[0] for w in ws}), 3))
+        sums[0] += count_group_plus(ws, d, s % 2)
+        sums[1] += count_group_pp(ws, d, s % 2)
+        sums[2] += _enum_hist(ws, d, s % 2)
+    assert middles == {1, 2, 3} and sums[0].sum() > 0
+    assert (sums == sums[0]).all(), sums
 
 
 def test_empty_and_single_set_groups():
