@@ -8,6 +8,7 @@ groups each, over the graph held in the task's closure.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
@@ -31,6 +32,9 @@ def tbe_plus(spark: SparkSession, edges: DataFrame, delta: int) -> DataFrame:
                     for s, e, ws in walk(g, bins[i], delta)
                     for row in enumerate_group(ws, delta, s % 2, s, e)
                 ]
-                yield pd.DataFrame(rows, columns=INSTANCE_SCHEMA.names, dtype="int64")
+                yield pd.DataFrame(
+                    np.array(rows, dtype=np.int64).reshape(-1, 9),
+                    columns=INSTANCE_SCHEMA.names,
+                )
 
     return spark.range(0, len(bins), 1, len(bins)).mapInPandas(run, INSTANCE_SCHEMA)

@@ -25,6 +25,9 @@ A wedge pair's type is its class (§4.1): coverage (0 non-overlap,
 1 intersect, 2 cover), + 3 if the wedges run in different directions,
 xor the start layer. The counters sum class sizes into types; TBE⁺
 types each instance by the class of the range it was emitted from.
+TBE⁺ fixes the group's orientation once: it keys each wedge by (middle
+id, time at a, time at b), ``a < b`` the group's layer-local ends, and
+lays a pair's two keys, ordered by middle id, into its layer's row.
 
 The tests check every kernel against a quadratic reference that
 classifies each cross-middle pair on its own (``tests/reference.py``).
@@ -41,15 +44,15 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from sortedcontainers import SortedList
 
 from repro.core.schema import N_TYPES
 
-#: wedge tuple layout inside a group
-M, LO, HI, FWD = range(4)
+#: wedge tuple layout inside a group; TBE⁺ appends its row key
+M, LO, HI, FWD, KEY = range(5)
 
 #: sort key realizing priority-increasing processing order
 _PRIO_ORDER = lambda w: (-w[LO], w[HI])
@@ -60,15 +63,6 @@ _HI = itemgetter(HI)
 #: lists (A_i, D_i, A_j, D_j) query across; one set's (A, D) query itself.
 _TWO_SETS = ((2, 3), (3, 2), (0, 1), (1, 0))
 _ONE_SET = ((0, 1), (1, 0))
-
-
-def build_sets(wedges: Iterable[tuple]) -> list[tuple[list, list]]:
-    """Group wedges by middle vertex into (A, D) subsets (Definition 5),
-    in order of middle id, each in priority-increasing order."""
-    by_m: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
-    for w in sorted(wedges, key=_PRIO_ORDER):
-        by_m[w[M]][not w[FWD]].append(w)
-    return [by_m[m] for m in sorted(by_m)]
 
 
 # --------------------------------------------------------------------------
@@ -230,48 +224,34 @@ def count_group_pp(wedges: list[tuple], delta: int, layer: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _raw_times(w: tuple) -> tuple[int, int]:
-    """(t_sm, t_me): original first/second edge times of a wedge."""
-    return (w[LO], w[HI]) if w[FWD] else (w[HI], w[LO])
-
-
-def instance_row(
-    s: int, e: int, layer: int, wi: tuple, wj: tuple, btype: int
-) -> tuple:
-    """Canonical instance (u1,u2,v1,v2,t11,t12,t21,t22,btype) from a
-    wedge pair sharing start ``s`` / end ``e`` (gids), of type ``btype``."""
-    ti_sm, ti_me = _raw_times(wi)
-    tj_sm, tj_me = _raw_times(wj)
-    if layer == 0:  # s,e in U; middles in L
-        ua, ub = s // 2, e // 2
-        va, vb = wi[M] // 2, wj[M] // 2
-        t = {(ua, va): ti_sm, (ub, va): ti_me, (ua, vb): tj_sm, (ub, vb): tj_me}
-    else:  # s,e in L; middles in U
-        va, vb = s // 2, e // 2
-        ua, ub = wi[M] // 2, wj[M] // 2
-        t = {(ua, va): ti_sm, (ua, vb): ti_me, (ub, va): tj_sm, (ub, vb): tj_me}
-    u1, u2 = min(ua, ub), max(ua, ub)
-    v1, v2 = min(va, vb), max(va, vb)
-    t11, t12, t21, t22 = t[(u1, v1)], t[(u1, v2)], t[(u2, v1)], t[(u2, v2)]
-    return (u1, u2, v1, v2, t11, t12, t21, t22, btype)
-
-
 def enumerate_group(
     wedges: list[tuple], delta: int, layer: int, s: int, e: int
 ) -> list[tuple]:
     """All canonical instances of one (s, e) group (TBE⁺ kernel), each
     typed by its SetCross class as ``_count`` types its counts; a
-    partner of the wedge's own middle is skipped."""
+    partner of the wedge's own middle is skipped. Each row is the pair's
+    two wedge keys laid out by the layer's template."""
+    a, b = sorted((s // 2, e // 2))
+    # lo is the time at a when the wedge runs forward from a: fwd xor (s > e)
+    flip = s > e
+    key = lambda m, lo, hi, fwd: (m // 2, lo, hi) if fwd != flip else (m // 2, hi, lo)
+    keyed = [w + (key(*w),) for w in wedges]
+    if layer == 0:  # ends in U: (a, b, x, y, t(a,x), t(a,y), t(b,x), t(b,y))
+        row = lambda x, y, t: (a, b, x[0], y[0], x[1], y[1], x[2], y[2], t)
+    else:  # ends in L: (x, y, a, b, t(x,a), t(x,b), t(y,a), t(y,b))
+        row = lambda x, y, t: (x[0], y[0], a, b, x[1], x[2], y[1], y[2], t)
     out: list[tuple] = []
 
     def visit(w, same, diff):
-        m = w[M]
+        kw = w[KEY]
+        m = kw[0]
         for d, hp in enumerate((same, diff)):
-            for k, ws, a, b in hp.ranges(w[HI]):
-                btype = (k + 3 * d) ^ layer
-                out.extend(
-                    instance_row(s, e, layer, w, o, btype) for o in ws[a:b] if o[M] != m
-                )
+            for k, ws, i, j in hp.ranges(w[HI]):
+                t = (k + 3 * d) ^ layer
+                for o in ws[i:j]:
+                    ko = o[KEY]
+                    if ko[0] != m:
+                        out.append(row(kw, ko, t) if m < ko[0] else row(ko, kw, t))
 
-    _pairs(wedges, delta, HP, visit)
+    _pairs(keyed, delta, HP, visit)
     return out

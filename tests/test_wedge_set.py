@@ -6,19 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.brute import brute_instances
 from repro.core.classify import classify_times
 from repro.core.optimized import walk
 from repro.core.schema import N_TYPES, days
-from repro.core.wedge_set import (
-    build_sets,
-    count_group_plus,
-    count_group_pp,
-    enumerate_group,
-    instance_row,
-)
+from repro.core.wedge_set import count_group_plus, count_group_pp, enumerate_group
 from repro.datasets import DATASETS
 from repro.streaming.graph import StreamGraph
 from tests.reference import TEST_SCALE, count_group_quadratic, wedge_pair_type
+from tests.util import edges_pdf
 
 KERNELS = (count_group_plus, count_group_pp)
 
@@ -192,34 +188,60 @@ def test_boundary_hi_equals_other_lo_excluded():
         assert kernel(ws, 9, 0).sum() == 0
 
 
-def test_build_sets_splits_directions_and_sorts():
-    ws = [(1, 5, 7, True), (1, 2, 9, False), (1, 5, 6, False), (3, 0, 1, True)]
-    sets = build_sets(ws)
-    assert len(sets) == 2
-    a, d = sets[0]  # middle 1
-    assert a == [(1, 5, 7, True)]
-    assert d == [(1, 5, 6, False), (1, 2, 9, False)]  # lo desc
-    assert sets[1] == ([(3, 0, 1, True)], [])
+def _flipped(wedges: list[tuple]) -> list[tuple]:
+    """The same wedges read from the other end: every ``fwd`` flipped."""
+    return [(m, lo, hi, not fwd) for m, lo, hi, fwd in wedges]
 
 
-def test_instance_row_reconstructs_edges():
-    # U start s=4 (u=2), e=8 (u=4); middles 1 (v=0) and 3 (v=1)
-    wi = (1, 10, 20, True)  # (u2,v0)@10, (u4,v0)@20
+@pytest.mark.parametrize("swap", [False, True], ids=["s<e", "s>e"])
+def test_enumerate_group_reconstructs_edges(swap):
+    # U ends 4 (u=2) and 8 (u=4); middles 1 (v=0) and 3 (v=1)
+    wi = (1, 10, 20, True)  # from u2: (u2,v0)@10, (u4,v0)@20
     wj = (3, 12, 15, False)  # backward: (u2,v1)@15, (u4,v1)@12
     bt = wedge_pair_type(10, 20, True, 12, 15, False, layer=0)
-    row = instance_row(4, 8, 0, wi, wj, bt)
+    ws, s, e = ([wi, wj], 4, 8) if not swap else (_flipped([wi, wj]), 8, 4)
+    (row,) = enumerate_group(ws, 10, 0, s, e)
     assert row[:4] == (2, 4, 0, 1)
     assert row[4:8] == (10, 15, 20, 12)
     # the pair's wedge-set type is the type of the rebuilt edge times
     assert row[8] == bt == classify_times(10, 15, 20, 12)
 
 
-def test_instance_row_L_perspective():
-    # L start s=1 (v=0), e=3 (v=1); middles 2 (u=1), 6 (u=3)
-    wi = (2, 10, 20, True)  # (u1,v0)@10, (u1,v1)@20
+@pytest.mark.parametrize("swap", [False, True], ids=["s<e", "s>e"])
+def test_enumerate_group_L_perspective(swap):
+    # L ends 1 (v=0) and 3 (v=1); middles 2 (u=1) and 6 (u=3)
+    wi = (2, 10, 20, True)  # from v0: (u1,v0)@10, (u1,v1)@20
     wj = (6, 12, 15, True)  # (u3,v0)@12, (u3,v1)@15
     bt = wedge_pair_type(10, 20, True, 12, 15, True, layer=1)
-    row = instance_row(1, 3, 1, wi, wj, bt)
+    ws, s, e = ([wi, wj], 1, 3) if not swap else (_flipped([wi, wj]), 3, 1)
+    (row,) = enumerate_group(ws, 10, 1, s, e)
     assert row[:4] == (1, 3, 0, 1)
     assert row[4:8] == (10, 20, 12, 15)
     assert row[8] == bt == classify_times(10, 20, 12, 15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 12)), max_size=40
+    ),
+    transpose=st.booleans(),
+    delta=st.integers(0, 12),
+)
+def test_walk_enumeration_matches_brute_instances(rows, transpose, delta):
+    """No Spark: times from 13 values, so ties and repeated rows abound.
+    Three vertices on one side meet six on the other, so the start is
+    mostly of the smaller side: L as drawn, U when transposed. The rows
+    of ``walk`` over every start through ``enumerate_group`` are
+    ``brute_instances`` as a multiset."""
+    if transpose:
+        rows = [(v, u, t) for u, v, t in rows]
+    pdf = edges_pdf(rows)
+    g = StreamGraph.from_pdf(pdf)
+    got = [
+        row
+        for s, e, ws in walk(g, ((s, 0, 1) for s in g.adj), delta)
+        for row in enumerate_group(ws, delta, s % 2, s, e)
+    ]
+    want = list(brute_instances(pdf, delta).itertuples(index=False, name=None))
+    assert sorted(got) == sorted(want)
