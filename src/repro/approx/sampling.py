@@ -2,19 +2,18 @@
 Sanei-Mehri et al. lifted to temporal butterflies.
 
 Every edge survives independently with probability ``p``; the exact
-temporal counter (TBC⁺⁺) runs on the sampled graph and each per-type
-count is scaled by ``p^-4`` (a butterfly survives iff its 4 edges all
-survive, so the estimator is unbiased per type — the Appendix-A
-correctness argument).
+temporal counter (``count_local``, single-process TBC⁺⁺) runs on the
+sampled graph and each per-type count is scaled by ``p^-4`` (a
+butterfly survives iff its 4 edges all survive, so the estimator is
+unbiased per type — the Appendix-A correctness argument). The paper's
+ApproxTBC / ApproxTBC⁺ are the same wrapper over TBC / TBC⁺.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.core.optimized import count_local, tbc_pp
+from repro.core.optimized import count_local
 
 
 def _check_p(p: float) -> None:
@@ -37,22 +36,6 @@ def approx_tbc_local(
     _check_p(p)
     sampled = sample_edges_pdf(edges, p, seed)
     return count_local(sampled, delta) / p**4
-
-
-def approx_tbc(
-    spark: SparkSession,
-    edges: DataFrame,
-    delta: int,
-    p: float,
-    seed: int = 0,
-) -> DataFrame:
-    """Estimated counts as a (btype, est) frame, from ``tbc_pp`` on the
-    sample (ApproxTBC⁺⁺; the paper's ApproxTBC / ApproxTBC⁺ are the same
-    wrapper over TBC / TBC⁺)."""
-    _check_p(p)
-    sampled = edges.where(F.rand(seed) < p)
-    exact = tbc_pp(spark, sampled, delta)
-    return exact.select("btype", (F.col("cnt") / F.lit(p**4)).alias("est"))
 
 
 def mape(est: np.ndarray, exact: np.ndarray) -> float:

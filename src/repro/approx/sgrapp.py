@@ -25,15 +25,23 @@ def split_windows(edges: pd.DataFrame, n_t_w: int) -> list[pd.DataFrame]:
     """Consecutive segments of ``n_t_w`` unique timestamps each."""
     if n_t_w <= 0:
         raise ValueError("n_t_w must be positive")
-    ts = edges["t"].to_numpy()
-    if not (np.diff(ts) >= 0).all():
+    if not (np.diff(edges["t"].to_numpy()) >= 0).all():
         raise ValueError("stream edges must arrive in chronological order")
-    uniq = pd.unique(edges["t"])
-    out = []
-    for start in range(0, len(uniq), n_t_w):
-        sel = edges[edges["t"].isin(uniq[start : start + n_t_w])]
-        out.append(sel.reset_index(drop=True))
-    return out
+    win = pd.factorize(edges["t"])[0] // n_t_w
+    return [w.reset_index(drop=True) for _, w in edges.groupby(win)]
+
+
+def _windowed(
+    edges: pd.DataFrame, delta: int, n_t_w: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The in-window counts summed over all windows, and ``EC_w`` for
+    every window w >= 2."""
+    windows = split_windows(edges, n_t_w)
+    inwin = sum(
+        (count_local(w, delta) for w in windows),
+        np.zeros(N_TYPES, dtype=np.int64),
+    )
+    return inwin, np.cumsum([len(w) for w in windows])[1:].astype(float)
 
 
 def sgrapp_tbc(
@@ -47,16 +55,8 @@ def sgrapp_tbc(
     sGrappTBC / ⁺ / ⁺⁺ differ only in that exact counter)."""
     if len(thetas) != N_TYPES:
         raise ValueError("need one theta per butterfly type")
-    windows = split_windows(edges, n_t_w)
-    est = np.zeros(N_TYPES, dtype=float)
-    seen_edges = len(windows[0]) if windows else 0
-    if windows:
-        est += count_local(windows[0], delta)
-    for w in windows[1:]:
-        seen_edges += len(w)
-        est += count_local(w, delta)
-        est += np.array([seen_edges**t for t in thetas])
-    return est
+    inwin, ecs = _windowed(edges, delta, n_t_w)
+    return inwin + np.array([np.sum(ecs**th) for th in thetas])
 
 
 def fit_thetas(
@@ -70,25 +70,19 @@ def fit_thetas(
 
     Solves, per type, Σ_{w≥2} EC_w^θ = (exact count) − (in-window count)
     by bisection — the calibration pass the paper runs on reference data
-    before deploying sGrapp. θ is clamped to [0, 2].
+    before deploying sGrapp. θ is clamped to [0, 2]; a type whose miss
+    is at most Σ_{w≥2} EC_w^0 = #windows − 1 gets θ = 0.
     """
-    windows = split_windows(edges, n_t_w)
-    exact = count_local(edges, delta).astype(float)
-    inwin = sum(
-        (count_local(w, delta) for w in windows),
-        np.zeros(N_TYPES, dtype=np.int64),
-    ).astype(float)
-    ecs = np.cumsum([len(w) for w in windows])[1:]
-    miss = exact - inwin
+    inwin, ecs = _windowed(edges, delta, n_t_w)
+    miss = (count_local(edges, delta) - inwin).astype(float)
     out = np.zeros(N_TYPES, dtype=float)
     for i in range(N_TYPES):
         if len(ecs) == 0 or miss[i] <= len(ecs):
-            out[i] = 0.0
             continue
         lo_t, hi_t = 0.0, 2.0
         for _ in range(60):
             mid = (lo_t + hi_t) / 2
-            if np.sum(ecs.astype(float) ** mid) < miss[i]:
+            if np.sum(ecs**mid) < miss[i]:
                 lo_t = mid
             else:
                 hi_t = mid

@@ -1,12 +1,14 @@
 """STBC (Algorithm 7): count the temporal butterflies containing one edge.
 
 The delta of a single update is the per-type count of butterflies that
-contain the edge. Wedges are gathered exactly as Algorithm 7 does —
-one set through the edge's own middle vertex (the wedge whose first leg
-*is* the edge) and one set through every other middle — and combined
-with the §4 tree kernel, which is legitimate because giving all
-other-middle wedges one pseudo middle id reproduces the paper's
-two-set ``H[w][v] × H[w][!v]`` cross exactly.
+contain the edge. Wedges are gathered as Algorithm 7 does — one set
+through the edge's own middle vertex (the wedge whose first leg *is*
+the edge) and one set through every other middle — and combined with
+the §4 tree kernel, which is legitimate because giving all other-middle
+wedges one pseudo middle id reproduces the paper's two-set
+``H[w][v] × H[w][!v]`` cross exactly. The edge's own set is gathered
+first, so only ends it reaches keep other-middle wedges, and only ends
+holding both sets are combined.
 """
 from __future__ import annotations
 
@@ -34,9 +36,9 @@ def edge_delta(
     ``[lo, hi]`` bounds the timestamps of the *other three* edges;
     defaults to the full Algorithm-7 range ``[t-δ, t+δ]``. STBC⁺ passes
     the Lemma-8 half-ranges ``(t, t+δ]`` / ``[t-δ, t)`` instead. A wider
-    range counts as ``[t-δ, t+δ]`` does: a wedge of the edge longer than
-    δ is dropped, as the kernel needs ``hi ≤ lo + δ``. The edge itself
-    must currently be present in ``g``.
+    range counts as ``[t-δ, t+δ]`` does: the edge's own wedges are read
+    from ``[lo, hi]`` clamped to ``[t-δ, t+δ]``, as the kernel needs
+    ``hi ≤ lo + δ``. The edge itself must currently be present in ``g``.
     """
     if lo is None:
         lo = t - delta
@@ -44,7 +46,16 @@ def edge_delta(
         hi = t + delta
     gu, gv = 2 * u, 2 * v + 1
     H: dict[int, list[tuple]] = {}
-    # wedges u -> x -> w through every other middle x (Alg. 7 lines 2-9)
+    # wedges u -> v -> w whose first leg is the edge itself (Alg. 7
+    # lines 10-15); the kernel needs each within δ of the edge
+    for t2, gw in g.neighbors_in(gv, max(lo, t - delta), min(hi, t + delta)):
+        if gw == gu or t2 == t:
+            continue
+        wl, wh = (t, t2) if t < t2 else (t2, t)
+        H.setdefault(gw, []).append((EDGE_MIDDLE, wl, wh, t < t2))
+    # wedges u -> x -> w through every other middle x (lines 2-9), kept
+    # only for ends w the edge's own wedges reach
+    crossed = set()
     for t1, gx in g.neighbors_in(gu, lo, hi):
         if gx == gv or t1 == t:
             continue
@@ -52,21 +63,14 @@ def edge_delta(
         hi2 = min(hi, min(t, t1) + delta)
         # |t2 - t1| <= δ already: t2 lies within δ of both t and t1
         for t2, gw in g.neighbors_in(gx, lo2, hi2):
-            if gw == gu or t2 == t or t2 == t1:
+            if gw not in H or t2 == t or t2 == t1:
                 continue
             wl, wh = (t1, t2) if t1 < t2 else (t2, t1)
-            H.setdefault(gw, []).append((OTHER_MIDDLE, wl, wh, t1 < t2))
-    # wedges u -> v -> w whose first leg is the edge itself (lines 10-15)
-    for t2, gw in g.neighbors_in(gv, lo, hi):
-        if gw == gu or t2 == t:
-            continue
-        wl, wh = (t, t2) if t < t2 else (t2, t)
-        if wh - wl <= delta and gw in H:
-            H[gw].append((EDGE_MIDDLE, wl, wh, t < t2))
+            H[gw].append((OTHER_MIDDLE, wl, wh, t1 < t2))
+            crossed.add(gw)
     counts = np.zeros(N_TYPES, dtype=np.int64)
-    for gw, wedges in H.items():
-        if any(w[0] == EDGE_MIDDLE for w in wedges):
-            counts += count_group_pp(wedges, delta, 0)  # u starts from U
+    for gw in crossed:
+        counts += count_group_pp(H[gw], delta, 0)  # u starts from U
     return counts
 
 

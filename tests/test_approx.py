@@ -4,11 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.approx.sampling import approx_tbc, approx_tbc_local, mape, sample_edges_pdf
+from repro.approx.sampling import approx_tbc_local, mape, sample_edges_pdf
 from repro.approx.sgrapp import fit_thetas, sgrapp_tbc, split_windows
-from repro.core.baseline import tbc
 from repro.core.optimized import count_local
-from repro.core.schema import counts_to_dict, days
+from repro.core.schema import days
 from repro.synth_data import temporal_bipartite_pdf
 
 
@@ -55,20 +54,11 @@ class TestSampling:
         }
         assert err[0.9] < err[0.3]
 
-    def test_spark_wrapper_p1_matches_exact(self, spark):
-        pdf = _graph(seed=5, n=400)
-        sdf = spark.createDataFrame(pdf)
-        est = {r["btype"]: r["est"] for r in approx_tbc(spark, sdf, DELTA, p=1.0).collect()}
-        exact = counts_to_dict(tbc(spark, sdf, DELTA))
-        assert {k: int(v) for k, v in est.items()} == exact
-
     @pytest.mark.parametrize("p", [0.0, 1.5])
-    def test_p_outside_unit_interval_raises(self, spark, p):
+    def test_p_outside_unit_interval_raises(self, p):
         pdf = _graph(seed=5, n=50)
         with pytest.raises(ValueError, match="p must be in"):
             approx_tbc_local(pdf, DELTA, p=p)
-        with pytest.raises(ValueError, match="p must be in"):
-            approx_tbc(spark, spark.createDataFrame(pdf), DELTA, p=p)
 
 
 class TestMape:
@@ -123,6 +113,18 @@ class TestSgrapp:
         naive = sgrapp_tbc(pdf, DELTA, 150, thetas=(1.0,) * 6)
         fitted = sgrapp_tbc(pdf, DELTA, 150, thetas=tuple(fit_thetas(pdf, DELTA, 150)))
         assert _mape(fitted, exact) <= _mape(naive, exact)
+
+    @pytest.mark.parametrize("n_t_w", [100, 150])
+    @pytest.mark.parametrize("seed", [9, 11, 12])
+    def test_fitted_thetas_reproduce_their_calibration_counts(self, seed, n_t_w):
+        # Σ_{w≥2} EC_w^θ_i equals the cross-window miss for every θ_i the
+        # bisection solved, so the estimate is exact on its own input
+        pdf = _graph(seed=seed, n=500)
+        th = fit_thetas(pdf, DELTA, n_t_w)
+        inner = (th > 0.0) & (th < 2.0)
+        assert inner.any(), th
+        est = sgrapp_tbc(pdf, DELTA, n_t_w, th)
+        np.testing.assert_allclose(est[inner], count_local(pdf, DELTA)[inner], rtol=1e-9)
 
     def test_fitted_thetas_within_clamp(self):
         pdf = _graph(seed=12, n=500)
