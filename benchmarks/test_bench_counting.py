@@ -4,15 +4,13 @@ Backs the paper's headline comparisons: TBC < TBC⁺ < TBC⁺⁺ and
 TBE < TBE⁺, with the baseline skipped on the dense analogs (the analog
 of its DNF on LF/WT under the paper's 100k-second cap), plus the
 generic temporal-motif comparator that §6 excludes for blowing up.
-The Spark rows come from ``jobs/run_counting.py`` and
-``jobs/run_enumeration.py``.
+The Spark rows, enumerators included, come from ``jobs/run_counting.py``.
 Rows → ``results/counting.csv``, EXPERIMENTS.md § Figure 11.
 """
 from __future__ import annotations
 
 import pytest
 import run_counting
-import run_enumeration
 
 from benchmarks._util import once, record
 from repro.core.schema import days
@@ -26,11 +24,11 @@ LIGHT = ["WQ", "WN", "SO", "BS", "AM", "TW"]
 HEAVY = ["CU", "ER", "EP", "LF", "WT"]
 
 
-def _record(benchmark, dataset, out, total):
-    """One counting.csv row from a job's per-type output."""
+def _record(benchmark, dataset, out):
+    """One counting.csv row from ``run_counting``'s per-type output."""
     row = {
         "dataset": dataset, "algo": out["algo"].iloc[0],
-        "edges": int(out["edges"].iloc[0]), "total": int(total),
+        "edges": int(out["edges"].iloc[0]), "total": int(out["cnt"].sum()),
         "seconds": float(out["seconds"].iloc[0]),
     }
     benchmark.extra_info.update(row)
@@ -41,21 +39,21 @@ def _record(benchmark, dataset, out, total):
 @pytest.mark.parametrize("name", LIGHT)
 def test_counting_light(benchmark, spark, name, algo):
     out = once(benchmark, lambda: run_counting.run(spark, name, algo))
-    _record(benchmark, name, out, out["cnt"].sum())
+    _record(benchmark, name, out)
 
 
 @pytest.mark.parametrize("algo", ["tbc+", "tbc++"])
 @pytest.mark.parametrize("name", HEAVY)
 def test_counting_heavy(benchmark, spark, name, algo):
     out = once(benchmark, lambda: run_counting.run(spark, name, algo))
-    _record(benchmark, name, out, out["cnt"].sum())
+    _record(benchmark, name, out)
 
 
 @pytest.mark.parametrize("algo", ["tbe", "tbe+"])
 @pytest.mark.parametrize("name", ["WQ", "WN", "SO"])
 def test_enumeration(benchmark, spark, name, algo):
-    out = once(benchmark, lambda: run_enumeration.run(spark, name, algo))
-    _record(benchmark, name, out, out["instances"].sum())
+    out = once(benchmark, lambda: run_counting.run(spark, name, algo))
+    _record(benchmark, name, out)
 
 
 @pytest.mark.parametrize("algo", ["tbc", "tbc+", "tbc++"])
@@ -65,7 +63,7 @@ def test_counting_scaled_tw(benchmark, spark, algo):
     TBC⁺ speedups, with outright DNFs on the dense datasets — at 2.5x
     scale our TBC no longer finishes in the bench budget either)."""
     out = once(benchmark, lambda: run_counting.run(spark, "TW", algo, scale=0.003))
-    _record(benchmark, "TW@0.003", out, out["cnt"].sum())
+    _record(benchmark, "TW@0.003", out)
 
 
 def test_generic_motif_comparator(benchmark, spark):

@@ -8,15 +8,10 @@ session for command-line use:
 """
 from __future__ import annotations
 
-import sys
-import time
-from contextlib import contextmanager
-
 import pandas as pd
 from pyspark.sql import SparkSession
 
-ALGO_CHOICES = ("tbc", "tbc-sql", "tbc+", "tbc++")
-ENUM_CHOICES = ("tbe", "tbe+")
+ALGO_CHOICES = ("tbc", "tbc-sql", "tbc+", "tbc++", "tbe", "tbe+")
 
 
 def make_session(app: str) -> SparkSession:
@@ -32,24 +27,19 @@ def make_session(app: str) -> SparkSession:
 
 
 def resolve_count_algo(name: str):
-    from repro.core.baseline import tbc, tbc_sql
-    from repro.core.optimized import tbc_plus, tbc_pp
-
-    return {"tbc": tbc, "tbc-sql": tbc_sql, "tbc+": tbc_plus, "tbc++": tbc_pp}[name]
-
-
-def resolve_enum_algo(name: str):
-    from repro.core.baseline import tbe
+    """``fn(spark, edges, delta)`` giving the six (btype, cnt) rows of
+    algorithm ``name``. An enumerator's instances are counted per type,
+    so reading the rows produces every instance."""
+    from repro.core.baseline import tbc, tbc_sql, tbe
     from repro.core.enumerate_ import tbe_plus
+    from repro.core.optimized import tbc_plus, tbc_pp
+    from repro.core.schema import type_counts
 
-    return {"tbe": tbe, "tbe+": tbe_plus}[name]
-
-
-@contextmanager
-def timed(label: str):
-    t0 = time.perf_counter()
-    yield
-    print(f"[{label}] {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    return {
+        "tbc": tbc, "tbc-sql": tbc_sql, "tbc+": tbc_plus, "tbc++": tbc_pp,
+        "tbe": lambda *a: type_counts(tbe(*a)),
+        "tbe+": lambda *a: type_counts(tbe_plus(*a)),
+    }[name]
 
 
 def print_table(df: pd.DataFrame, title: str) -> None:

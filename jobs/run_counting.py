@@ -1,10 +1,14 @@
-"""Counting driver — one dataset, one algorithm (Figure 11 data points).
+"""Figure 11/12 driver — one dataset, one algorithm, six per-type counts.
 
     spark-submit jobs/run_counting.py --dataset WN --algo tbc++
         [--delta-days 40] [--scale S] [--edge-frac 1.0]
 
-``--edge-frac`` randomly keeps a fraction of edges (the Figure-15
-scalability protocol).
+``--algo`` names a counter (tbc, tbc-sql, tbc+, tbc++) or an enumerator
+(tbe, tbe+). As in the paper's protocol, an enumerator's instances are
+not written anywhere: they are counted per type inside the timed region,
+so that every instance is produced. Every algorithm returns one row per
+type, zero counts included. ``--edge-frac`` randomly keeps a fraction of
+edges (the Figure-15 scalability protocol).
 """
 from __future__ import annotations
 

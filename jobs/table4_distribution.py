@@ -3,9 +3,10 @@
     spark-submit jobs/table4_distribution.py [--delta-days 40]
         [--scale S] [--datasets WQ,WN,...] [--algo tbc++]
 
-For each dataset analog, counts all six types with the chosen Spark
-algorithm at δ (default 40 days, the paper's setting) and reports each
-type's percentage of the total next to the paper's Table-4 percentages.
+For each dataset analog, counts all six types with ``run_counting`` and
+the chosen algorithm (any of its six; all give the same counts) at δ
+(default 40 days, the paper's setting) and reports each type's
+percentage of the total next to the paper's Table-4 percentages.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import ALGO_CHOICES, make_session, print_table, resolve_count_algo, timed  # noqa: E402
+import run_counting  # noqa: E402
+from _common import ALGO_CHOICES, make_session, print_table  # noqa: E402
 
-from repro.core.schema import counts_to_dict, days  # noqa: E402
 from repro.datasets import DATASETS, PAPER_TABLE4  # noqa: E402
 
 
@@ -30,14 +31,10 @@ def run(
     names: list[str] | None = None,
     algo: str = "tbc++",
 ) -> pd.DataFrame:
-    count = resolve_count_algo(algo)
-    delta = days(delta_days)
     rows = []
     for name in names or list(DATASETS):
-        cfg = DATASETS[name]
-        sdf = cfg.generate(spark, scale if scale is not None else cfg.bench_scale)
-        with timed(f"table4:{name}"):
-            counts = counts_to_dict(count(spark, sdf, delta))
+        out = run_counting.run(spark, name, algo, delta_days, scale)
+        counts = dict(zip(out["btype"].tolist(), out["cnt"].tolist()))
         total = sum(counts.values())
         row: dict = {"dataset": name, "total": total}
         for i in range(6):

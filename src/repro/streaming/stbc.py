@@ -53,6 +53,9 @@ def edge_delta(
             continue
         wl, wh = (t, t2) if t < t2 else (t2, t)
         H.setdefault(gw, []).append((EDGE_MIDDLE, wl, wh, t < t2))
+    counts = np.zeros(N_TYPES, dtype=np.int64)
+    if not H:
+        return counts
     # wedges u -> x -> w through every other middle x (lines 2-9), kept
     # only for ends w the edge's own wedges reach
     crossed = set()
@@ -68,7 +71,6 @@ def edge_delta(
             wl, wh = (t1, t2) if t1 < t2 else (t2, t1)
             H[gw].append((OTHER_MIDDLE, wl, wh, t1 < t2))
             crossed.add(gw)
-    counts = np.zeros(N_TYPES, dtype=np.int64)
     for gw in crossed:
         counts += count_group_pp(H[gw], delta, 0)  # u starts from U
     return counts

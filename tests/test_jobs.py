@@ -10,7 +10,6 @@ JOBS = Path(__file__).resolve().parents[1] / "jobs"
 sys.path.insert(0, str(JOBS))
 
 import run_counting  # noqa: E402
-import run_enumeration  # noqa: E402
 import run_streaming  # noqa: E402
 import table3_datasets  # noqa: E402
 import table4_distribution  # noqa: E402
@@ -56,24 +55,24 @@ def test_counting_job_edge_frac(spark):
 
 @pytest.mark.parametrize("algo", ["tbe", "tbe+"])
 def test_enumeration_job(spark, algo):
-    out = run_enumeration.run(spark, "WN", algo, delta_days=40.0, scale=TEST_SCALE)
-    assert out["instances"].sum() > 0
+    out = run_counting.run(spark, "WN", algo, delta_days=40.0, scale=TEST_SCALE)
+    assert out["cnt"].sum() > 0
     assert set(out["btype"]) <= set(range(6))
 
 
 def test_enumeration_total_matches_counting(spark):
     cnt = run_counting.run(spark, "WN", "tbc++", delta_days=40.0, scale=TEST_SCALE)
-    enu = run_enumeration.run(spark, "WN", "tbe+", delta_days=40.0, scale=TEST_SCALE)
-    assert cnt["cnt"].sum() == enu["instances"].sum()
+    enu = run_counting.run(spark, "WN", "tbe+", delta_days=40.0, scale=TEST_SCALE)
+    assert cnt["cnt"].sum() == enu["cnt"].sum()
     assert (enu["edges"] == cnt["edges"].iloc[0]).all()
 
 
 def test_enumeration_job_without_instances(spark):
     """No instance at a tiny δ: still one zero row per type, carrying the
     dataset, algorithm, edge count and time."""
-    out = run_enumeration.run(spark, "WN", "tbe+", delta_days=0.0001, scale=TEST_SCALE)
+    out = run_counting.run(spark, "WN", "tbe+", delta_days=0.0001, scale=TEST_SCALE)
     assert list(out["btype"]) == list(range(6))
-    assert (out["instances"] == 0).all()
+    assert (out["cnt"] == 0).all()
     assert (out["dataset"] == "WN").all() and (out["algo"] == "tbe+").all()
     assert (out["edges"] > 0).all() and (out["seconds"] >= 0).all()
 

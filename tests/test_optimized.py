@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baseline import tbc
+from repro.approx.sampling import approx_tbc_local
+from repro.approx.sgrapp import sgrapp_tbc
+from repro.core.baseline import tbc, tbc_sql, tbe
 from repro.core.brute import brute_counts, brute_instances, sql_counts
 from repro.core.enumerate_ import tbe_plus
 from repro.core.optimized import (
@@ -414,15 +416,28 @@ def _rows(rows) -> list[tuple]:
 
 def _matches_brute(spark, algo, pdf, delta) -> int:
     """Asserts that ``algo`` on ``pdf`` gives brute force's instance rows
-    (TBE⁺) or six counts (a counter); returns the butterflies found."""
+    (an enumerator) or six counts (a counter); returns the butterflies
+    found."""
     got = algo(spark, spark.createDataFrame(pdf, EDGE_SCHEMA), delta)
-    if algo is tbe_plus:
+    if algo in (tbe_plus, tbe):
         rows = _rows(got.collect())
         assert rows == _rows(brute_instances(pdf, delta).itertuples(index=False))
         return len(rows)
     counts = counts_to_dict(got)
     assert counts == brute_counts(pdf, delta), algo.__name__
     return sum(counts.values())
+
+
+def _local_counts(pdf, delta) -> dict[str, np.ndarray]:
+    """The in-process paths' counts on ``pdf`` in time order, which
+    sGrapp's ``split_windows`` requires; sGrapp gets a single window, so
+    it estimates nothing."""
+    chrono = pdf.sort_values("t", kind="stable", ignore_index=True)
+    return {
+        "count_local": count_local(chrono, delta),
+        "approx_tbc_local": approx_tbc_local(chrono, delta, p=1.0),
+        "sgrapp_tbc": sgrapp_tbc(chrono, delta, n_t_w=chrono["t"].nunique()),
+    }
 
 
 def _tie_graphs() -> dict[str, pd.DataFrame]:
@@ -445,14 +460,20 @@ def _tie_graphs() -> dict[str, pd.DataFrame]:
 
 @pytest.mark.parametrize("name", ["random", "hub", "complete"])
 def test_tied_and_repeated_rows_match_brute(spark, name):
-    """Timestamp ties, repeated rows and δ = 0: TBE⁺ gives brute force's
-    instances and TBC⁺⁺ its counts. A TBE⁺ frame read before and after
-    a TBC⁺⁺ call, whose broadcast is destroyed, gives the same rows."""
+    """Timestamp ties, repeated rows and δ = 0: every Spark enumerator
+    gives brute force's instances, and every Spark and in-process counter
+    its counts. A TBE⁺ frame read before and after a TBC⁺⁺ call, whose
+    broadcast is destroyed, gives the same rows."""
     pdf = _tie_graphs()[name]
     assert pdf.duplicated().any() and pdf["t"].duplicated().any()
-    found = [_matches_brute(spark, algo, pdf, delta)
-             for delta in (0, 4, 12) for algo in (tbe_plus, tbc_pp)]
-    assert found[:2] == [0, 0] and found[-1] > 0
+    algos = (tbe_plus, tbc_pp, tbc, tbc_sql, tbc_plus, tbe)
+    found = {delta: [_matches_brute(spark, algo, pdf, delta) for algo in algos]
+             for delta in (0, 4, 12)}
+    assert set(found[0]) == {0} and min(found[12]) > 0
+    for delta in found:
+        want = list(brute_counts(pdf, delta).values())
+        for path, got in _local_counts(pdf, delta).items():
+            assert np.array_equal(got, want), (path, delta)
     frame = tbe_plus(spark, spark.createDataFrame(pdf, EDGE_SCHEMA), 12)
     first = _rows(frame.collect())
     tbc_pp(spark, spark.createDataFrame(pdf, EDGE_SCHEMA), 12)
